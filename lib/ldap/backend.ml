@@ -124,38 +124,119 @@ let crosses_referral t ~base dn =
     in
     go dn
 
-(* Candidate DNs from indexes, if some indexed predicate must hold.
-   Returns [None] when no index applies (fall back to traversal). *)
-let rec index_candidates t filter =
-  match filter with
-  | Filter.Pred (Filter.Equality (a, v)) when Index.is_indexed t.index a ->
-      Some (Index.lookup_eq t.index ~attr:a v)
-  | Filter.Pred (Filter.Substrings (a, { initial = Some p; _ }))
-    when Index.is_indexed t.index a ->
-      Some (Index.lookup_prefix t.index ~attr:a p)
-  | Filter.And gs ->
-      (* Any conjunct's candidate set over-approximates the result;
-         pick the smallest available.  Cardinal is O(n) on these sets,
-         so compute it once per conjunct instead of re-measuring the
-         running best on every comparison. *)
-      List.filter_map (index_candidates t) gs
-      |> List.fold_left
-           (fun best s ->
-             let n = Dn.Set.cardinal s in
-             match best with
-             | Some (_, bn) when bn <= n -> best
-             | Some _ | None -> Some (s, n))
-           None
-      |> Option.map fst
+(* --- Candidate planning ----------------------------------------------
+   Some indexed conjunct's postings over-approximate a filter's matches;
+   every candidate is then checked by the full compiled filter, so the
+   choice of conjunct changes cost, never answers or their order.  No
+   posting size is stored: sizes are counted lazily and never past the
+   smallest candidate set found so far (the cap), so a search costs
+   O(answer) even when the router has conjoined an ownership filter
+   that covers a whole shard. *)
+
+(* Whether some index bounds the filter's matches. *)
+let rec indexable t = function
+  | Filter.Pred (Filter.Equality (a, _))
+  | Filter.Pred (Filter.Substrings (a, { initial = Some _; _ })) ->
+      Index.is_indexed t.index a
+  | Filter.And gs -> List.exists (indexable t) gs
+  | Filter.Or gs -> List.for_all (indexable t) gs
+  | Filter.Pred _ | Filter.Not _ -> false
+
+(* The smallest posting and its size, walking all of them in lockstep:
+   none is counted past the smallest, nor past [cap] (then [None]). *)
+let smallest ~cap postings =
+  let rec go n cursors =
+    if n > cap then None
+    else
+      let rec step acc = function
+        | [] -> Ok (List.rev acc)
+        | (p, c) :: rest -> (
+            match c () with
+            | Seq.Nil -> Error p
+            | Seq.Cons (_, c') -> step ((p, c') :: acc) rest)
+      in
+      match step [] cursors with
+      | Error p -> Some (p, n)
+      | Ok cursors -> go (n + 1) cursors
+  in
+  match postings with
+  | [] -> None
+  | _ -> go 0 (List.map (fun p -> (p, Dn.Set.to_seq p)) postings)
+
+(* [dns] added to [acc] (of [n] DNs) one at a time; [Set.add] returns
+   its argument when the DN is already there, which keeps the count
+   exact.  [None] once the union exceeds [cap]. *)
+let add_upto ~cap (acc, n) dns =
+  let rec go acc n dns =
+    if n > cap then None
+    else
+      match dns () with
+      | Seq.Nil -> Some (acc, n)
+      | Seq.Cons (dn, rest) ->
+          let acc' = Dn.Set.add dn acc in
+          go acc' (if acc' == acc then n else n + 1) rest
+  in
+  go acc n dns
+
+(* A whole posting into an empty union is the posting itself, counted. *)
+let add_set ~cap (acc, n) s =
+  if n = 0 then smallest ~cap [ s ] else add_upto ~cap (acc, n) (Dn.Set.to_seq s)
+
+(* An indexable filter's candidates unioned into [acc], or [None] once
+   the union exceeds [cap]. *)
+let rec union_into t ~cap acc g =
+  match g with
+  | Filter.Pred (Filter.Equality (a, v)) ->
+      add_set ~cap acc (Index.lookup_eq t.index ~attr:a v)
+  | Filter.Pred (Filter.Substrings (a, { initial = Some p; _ })) ->
+      add_upto ~cap acc
+        (Seq.flat_map Dn.Set.to_seq (Index.prefix_postings t.index ~attr:a p))
   | Filter.Or gs ->
-      let sets = List.map (index_candidates t) gs in
-      if List.for_all Option.is_some sets then
-        Some
-          (List.fold_left
-             (fun acc s -> Dn.Set.union acc (Option.get s))
-             Dn.Set.empty sets)
-      else None
-  | Filter.Pred _ | Filter.Not _ -> None
+      List.fold_left
+        (fun acc g -> Option.bind acc (fun acc -> union_into t ~cap acc g))
+        (Some acc) gs
+  | Filter.And gs ->
+      Option.bind (conjunction t ~cap gs) (fun (s, _) -> add_set ~cap acc s)
+  | Filter.Pred _ | Filter.Not _ -> invalid_arg "Backend.union_into: unindexed filter"
+
+(* Equality postings are free to fetch, so they go first, counted in
+   lockstep; each further indexable conjunct is built only while it
+   stays strictly smaller than the best set so far. *)
+and conjunction t ~cap gs =
+  let eqs, rest =
+    List.partition_map
+      (function
+        | Filter.Pred (Filter.Equality (a, v)) when Index.is_indexed t.index a ->
+            Either.Left (Index.lookup_eq t.index ~attr:a v)
+        | g -> Either.Right g)
+      gs
+  in
+  let best = smallest ~cap eqs in
+  List.fold_left
+    (fun best g ->
+      if not (indexable t g) then best
+      else
+        let cap = match best with Some (_, n) -> n - 1 | None -> cap in
+        match union_into t ~cap (Dn.Set.empty, 0) g with
+        | Some _ as smaller -> smaller
+        | None -> best)
+    best rest
+
+(* Candidate DNs for a search, or [None] when no index applies (fall
+   back to traversal).  A lone predicate is returned uncounted. *)
+let rec candidates t filter =
+  if not (indexable t filter) then None
+  else
+    match filter with
+    | Filter.Pred (Filter.Equality (a, v)) -> Some (Index.lookup_eq t.index ~attr:a v)
+    | Filter.Pred (Filter.Substrings (a, { initial = Some p; _ })) ->
+        Some (Index.lookup_prefix t.index ~attr:a p)
+    | Filter.And gs -> (
+        match List.filter (indexable t) gs with
+        | [ g ] -> candidates t g
+        | gs -> Option.map fst (conjunction t ~cap:max_int gs))
+    | Filter.Or _ | Filter.Pred _ | Filter.Not _ ->
+        Option.map fst (union_into t ~cap:max_int (Dn.Set.empty, 0) filter)
 
 let in_scope_references t (q : Query.t) =
   Dn.Set.fold
@@ -164,7 +245,10 @@ let in_scope_references t (q : Query.t) =
 
 let requested_attrs (q : Query.t) = Query.attr_list q.attrs
 
-let search t (q : Query.t) =
+(* Resolves the base, then folds [f] over the matching entries in the
+   order that, consed, gives [search]'s answer order.  Returns the
+   covering context with the fold's result. *)
+let fold_matches t (q : Query.t) ~init ~f =
   match context_for t q.base with
   | None -> Error (No_such_object q.base)
   | Some dit -> (
@@ -181,13 +265,6 @@ let search t (q : Query.t) =
       match resolved with
       | Error e -> Error e
       | Ok _base_entry ->
-          let references =
-            if manage then []
-            else
-              List.filter_map
-                (fun dn -> Option.map Entry.referral_urls (Dit.find dit dn))
-                (in_scope_references t q)
-          in
           let is_excluded entry =
             (not manage)
             && (Entry.is_referral entry
@@ -199,34 +276,43 @@ let search t (q : Query.t) =
              lookups and value normalization. *)
           let filter_matches = Filter.matcher t.schema q.filter in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
-          let collect_traversal () =
-            match q.scope with
-            | Scope.Base -> (
-                match Dit.find dit q.base with
-                | Some e when matches e -> [ e ]
-                | Some _ | None -> [])
-            | Scope.One -> List.filter matches (Dit.children dit q.base)
-            | Scope.Sub ->
-                Dit.fold_subtree dit q.base ~init:[] ~f:(fun acc e ->
-                    if matches e then e :: acc else acc)
+          let step acc e = if matches e then f acc e else acc in
+          let acc =
+            match candidates t q.filter with
+            | Some candidates ->
+                Dn.Set.fold
+                  (fun dn acc ->
+                    if not (Query.in_scope q dn) then acc
+                    else
+                      match Dit.find dit dn with
+                      | Some e -> step acc e
+                      | None -> acc)
+                  candidates init
+            | None -> (
+                match q.scope with
+                | Scope.Base -> (
+                    match Dit.find dit q.base with
+                    | Some e -> step init e
+                    | None -> init)
+                | Scope.One ->
+                    List.fold_right (fun e acc -> step acc e) (Dit.children dit q.base) init
+                | Scope.Sub -> Dit.fold_subtree dit q.base ~init ~f:step)
           in
-          let collect_indexed candidates =
-            Dn.Set.fold
-              (fun dn acc ->
-                if not (Query.in_scope q dn) then acc
-                else
-                  match Dit.find dit dn with
-                  | Some e when matches e -> e :: acc
-                  | Some _ | None -> acc)
-              candidates []
-          in
-          let entries =
-            match index_candidates t q.filter with
-            | Some candidates -> collect_indexed candidates
-            | None -> collect_traversal ()
-          in
-          let entries = List.map (fun e -> Entry.select e (requested_attrs q)) entries in
-          Ok { entries; references })
+          Ok (dit, acc))
+
+let search t (q : Query.t) =
+  let attrs = requested_attrs q in
+  match fold_matches t q ~init:[] ~f:(fun acc e -> Entry.select e attrs :: acc) with
+  | Error e -> Error e
+  | Ok (dit, entries) ->
+      let references =
+        if q.Query.manage_dsa_it then []
+        else
+          List.filter_map
+            (fun dn -> Option.map Entry.referral_urls (Dit.find dit dn))
+            (in_scope_references t q)
+      in
+      Ok { entries; references }
 
 let compare_values t dn ~attr ~value =
   match find t dn with
@@ -235,8 +321,8 @@ let compare_values t dn ~attr ~value =
       Ok (Entry.has_value ~syntax:(Schema.syntax_of t.schema attr) entry attr value)
 
 let count_matching t q =
-  match search t { q with attrs = Query.Select [ "objectclass" ] } with
-  | Ok { entries; _ } -> List.length entries
+  match fold_matches t q ~init:0 ~f:(fun n _ -> n + 1) with
+  | Ok (_, n) -> n
   | Error _ -> 0
 
 (* --- Updates -------------------------------------------------------- *)
@@ -349,7 +435,7 @@ let apply t op =
           match Dit.find dit dn with
           | None -> Error (Printf.sprintf "no such object: %s" (Dn.to_string dn))
           | Some before -> (
-              if Dit.children dit dn <> [] then
+              if Dit.has_children dit dn then
                 Error
                   (Printf.sprintf "modifyDN on non-leaf entry: %s" (Dn.to_string dn))
               else

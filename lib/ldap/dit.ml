@@ -123,6 +123,11 @@ let children t dn =
   | None -> []
   | Some node -> Smap.fold (fun _ child acc -> child.entry :: acc) node.kids []
 
+let has_children t dn =
+  match find_node t dn with
+  | None -> false
+  | Some node -> not (Smap.is_empty node.kids)
+
 let rec fold_node node ~init ~f =
   let acc = f init node.entry in
   Smap.fold (fun _ child acc -> fold_node child ~init:acc ~f) node.kids acc

@@ -41,6 +41,10 @@ val delete : t -> Dn.t -> (t, error) result
 val children : t -> Dn.t -> Entry.t list
 (** Immediate children, or [[]] when the DN does not exist. *)
 
+val has_children : t -> Dn.t -> bool
+(** Whether the entry at the DN has a child: O(depth), with no list
+    built.  [false] when the DN does not exist. *)
+
 val fold_subtree : t -> Dn.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
 (** Folds over the entry at the DN and its whole subtree (depth-first,
     parent before children).  Identity when the DN does not exist. *)

@@ -42,24 +42,18 @@ let lookup_eq t ~attr v =
   | Some table ->
       Option.value ~default:Dn.Set.empty (Vmap.find_opt (norm t attr v) !table)
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let lookup_prefix t ~attr prefix =
+let prefix_postings t ~attr prefix =
   match Hashtbl.find_opt t.tables (String.lowercase_ascii attr) with
-  | None -> Dn.Set.empty
+  | None -> Seq.empty
   | Some table ->
       let prefix = norm t attr prefix in
-      let seq = Vmap.to_seq_from prefix !table in
-      let rec collect acc seq =
-        match seq () with
-        | Seq.Nil -> acc
-        | Seq.Cons ((key, dns), rest) ->
-            if has_prefix ~prefix key then collect (Dn.Set.union acc dns) rest
-            else acc
-      in
-      collect Dn.Set.empty seq
+      Seq.take_while
+        (fun (key, _) -> String.starts_with ~prefix key)
+        (Vmap.to_seq_from prefix !table)
+      |> Seq.map snd
+
+let lookup_prefix t ~attr prefix =
+  Seq.fold_left Dn.Set.union Dn.Set.empty (prefix_postings t ~attr prefix)
 
 let cardinality t ~attr =
   match Hashtbl.find_opt t.tables (String.lowercase_ascii attr) with

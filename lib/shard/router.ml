@@ -37,22 +37,16 @@ let shard_host t s = Shard_master.host t.shards.(s)
 let register_owner t dn kind = Hashtbl.replace t.owners (Dn.canonical dn) (kind, dn)
 let forget_owner t dn = Hashtbl.remove t.owners (Dn.canonical dn)
 
-(* A rename moves the whole subtree: re-key every tracked descendant. *)
-let regraft_owners t ~old_base ~new_base =
-  let moved =
-    Hashtbl.fold
-      (fun key (kind, dn) acc ->
-        match Dn.relative_to ~ancestor:old_base dn with
-        | Some (_ :: _ as rel) -> (key, kind, rel) :: acc
-        | Some [] | None -> acc)
-      t.owners []
-  in
-  List.iter
-    (fun (key, kind, rel) ->
-      Hashtbl.remove t.owners key;
-      let dn = List.fold_left Dn.child new_base (List.rev rel) in
-      register_owner t dn kind)
-    moved
+(* Whether some shard's DIT holds a child of [dn]: O(shards × depth).
+   A shard's copy of a structural entry can be a leaf while another
+   shard holds its children, so no one shard's own check suffices. *)
+let has_children t dn =
+  Array.exists
+    (fun sm ->
+      match Backend.context_for (Shard_master.backend sm) dn with
+      | Some dit -> Dit.has_children dit dn
+      | None -> false)
+    t.shards
 
 let note_geo t after =
   if t.geo_ok && not (Partition.geo_consistent t.partition after) then
@@ -60,11 +54,12 @@ let note_geo t after =
 
 (* --- Write routing ----------------------------------------------------- *)
 
+(* A committed rename never has descendants ([refusal] checks every
+   shard first), so only the renamed DN itself leaves the table. *)
 let note_rename t (record : Update.record) =
   match (record.before, record.after) with
   | Some b, Some a when not (Dn.equal (Entry.dn b) (Entry.dn a)) ->
-      forget_owner t (Entry.dn b);
-      regraft_owners t ~old_base:(Entry.dn b) ~new_base:(Entry.dn a)
+      forget_owner t (Entry.dn b)
   | _ -> ()
 
 (* Delete the placeholder/owned copy everywhere but [keep]. *)
@@ -123,9 +118,8 @@ let apply_structural t op =
       | Some e -> Error ("structural replication: " ^ e)
       | None ->
           note_rename t record;
-          (* A structural rename moves descendants whose geography the
-             partition tracks by the old DN: pruning is no longer
-             trustworthy. *)
+          (* A structural rename changes a DN the partition's block
+             geographies may name: pruning is no longer trustworthy. *)
           (match record.op with
           | Update.Modify_dn _ -> t.geo_ok <- false
           | _ -> ());
@@ -162,14 +156,21 @@ let route_of_op t op =
       | Some (kind, _) -> kind
       | None -> Structural)
 
-(* A modifyDN's target may be held by a shard other than the one owning
-   the renamed entry, where the owning shard's local existence check
-   cannot see it.  The owner table is the router's global view of held
-   DNs, so the duplicate target is rejected here with the same error a
-   single master's backend raises — keeping the router observationally
-   equivalent. *)
-let rename_target_clash t op =
+(* Writes a single master would refuse but no one shard can see are
+   refused here, with that master's error and before any shard
+   commits, keeping the router observationally equivalent:
+   - deleting or renaming an entry with children, which for a
+     structural entry may all live on shards other than the one
+     checking first;
+   - a modifyDN whose target another shard holds, where the owning
+     shard's local existence check cannot see it (the owner table is
+     the router's global view of held DNs). *)
+let refusal t op =
   match op with
+  | Update.Delete dn when has_children t dn ->
+      Some (Dit.error_to_string (Dit.Not_a_leaf dn))
+  | Update.Modify_dn { dn; _ } when has_children t dn ->
+      Some (Printf.sprintf "modifyDN on non-leaf entry: %s" (Dn.to_string dn))
   | Update.Modify_dn { dn; new_rdn; new_superior; _ } ->
       let parent_dn =
         match new_superior with
@@ -177,13 +178,14 @@ let rename_target_clash t op =
         | None -> Option.value ~default:Dn.root (Dn.parent dn)
       in
       let new_dn = Dn.child parent_dn new_rdn in
-      if Hashtbl.mem t.owners (Dn.canonical new_dn) then Some new_dn else None
+      if Hashtbl.mem t.owners (Dn.canonical new_dn) then
+        Some (Printf.sprintf "entry already exists: %s" (Dn.to_string new_dn))
+      else None
   | Update.Add _ | Update.Delete _ | Update.Modify _ -> None
 
 let apply t op =
-  match rename_target_clash t op with
-  | Some new_dn ->
-      Error (Printf.sprintf "entry already exists: %s" (Dn.to_string new_dn))
+  match refusal t op with
+  | Some e -> Error e
   | None -> (
       match route_of_op t op with
       | Structural -> apply_structural t op

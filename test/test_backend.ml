@@ -320,7 +320,8 @@ let test_many_subscribers_ordered () =
 
 (* --- Oracle property: search = naive scan ------------------------------
    The indexed fast path, scope handling and referral exclusion must
-   agree with a direct evaluation over every entry. *)
+   agree with a direct evaluation over every entry, and the planner's
+   count with the answer's length. *)
 
 let naive_search backend (query : Query.t) =
   Backend.fold_entries backend ~init:[] ~f:(fun acc e ->
@@ -364,6 +365,14 @@ let query_gen =
   let scope = oneofl [ Scope.Base; Scope.One; Scope.Sub ] in
   let value = map (fun i -> Printf.sprintf "%04d" i) (0 -- 70) in
   let dept = map (fun i -> Printf.sprintf "%02d" i) (0 -- 8) in
+  let prefixes =
+    map
+      (fun ps ->
+        Printf.sprintf "(|%s)"
+          (String.concat ""
+             (List.map (Printf.sprintf "(serialNumber=%03d*)") (List.sort_uniq compare ps))))
+      (list_size (1 -- 4) (0 -- 7))
+  in
   let filter =
     oneof
       [
@@ -375,6 +384,25 @@ let query_gen =
         map (fun d -> Printf.sprintf "(|(departmentNumber=%s)(serialNumber=0003))" d) dept;
         map (fun d -> Printf.sprintf "(!(departmentNumber=%s))" d) dept;
         return "(objectclass=inetOrgPerson)";
+        (* The router's restricted shapes: a keyed shard's ownership
+           union conjoined onto the query, and shard 0's complement. *)
+        map2 (fun ps d -> Printf.sprintf "(&%s(departmentNumber=%s))" ps d) prefixes dept;
+        map2 (fun ps v -> Printf.sprintf "(&(!%s)(serialNumber=%s))" ps v) prefixes value;
+        (* Equalities with very different posting sizes, either order. *)
+        map (fun v -> Printf.sprintf "(&(objectclass=inetOrgPerson)(serialNumber=%s))" v) value;
+        map (fun d -> Printf.sprintf "(&(departmentNumber=%s)(objectclass=inetOrgPerson))" d) dept;
+        (* An Or inside an And, larger or smaller than the cap, with a
+           nested And among its disjuncts. *)
+        map2 (fun d ps -> Printf.sprintf "(&(departmentNumber=%s)%s)" d ps) dept prefixes;
+        map2
+          (fun d v ->
+            Printf.sprintf
+              "(&(objectclass=inetOrgPerson)(|(&(departmentNumber=%s)(serialNumber=001*))(serialNumber=%s)))"
+              d v)
+          dept value;
+        (* A conjunct with an empty posting, equality or prefix. *)
+        map (fun d -> Printf.sprintf "(&(departmentNumber=%s)(serialNumber=9999))" d) dept;
+        map (fun v -> Printf.sprintf "(&(serialNumber=9*)(serialNumber=%s*))" (String.sub v 0 3)) value;
       ]
   in
   map3
@@ -393,7 +421,8 @@ let prop_search_matches_naive =
             List.sort String.compare
               (List.map (fun e -> Dn.canonical (Entry.dn e)) entries)
           in
-          got = naive_search b query)
+          let expected = naive_search b query in
+          got = expected && Backend.count_matching b query = List.length expected)
 
 (* --- Figure 2: distributed operation processing ---------------------- *)
 

@@ -31,6 +31,9 @@ let test_structure () =
   check_int "children of root" 2 (List.length (Dit.children t (dn "o=xyz")));
   check_int "children of a" 2 (List.length (Dit.children t (dn "ou=a,o=xyz")));
   check_int "children of leaf" 0 (List.length (Dit.children t (dn "ou=b,o=xyz")));
+  check_bool "root has children" true (Dit.has_children t (dn "o=xyz"));
+  check_bool "leaf has none" false (Dit.has_children t (dn "ou=b,o=xyz"));
+  check_bool "missing has none" false (Dit.has_children t (dn "ou=zz,o=xyz"));
   check_bool "contains namespace" true (Dit.contains_dn t (dn "cn=any,ou=a,o=xyz"));
   check_bool "outside namespace" false (Dit.contains_dn t (dn "o=abc"))
 
@@ -104,7 +107,14 @@ let test_index_eq_prefix () =
   (* No string-prefix confusion across boundary values. *)
   Index.insert idx (person "d" "240");
   check_int "prefix 240 exact+longer" 3
-    (Dn.Set.cardinal (Index.lookup_prefix idx ~attr:"serialnumber" "240"))
+    (Dn.Set.cardinal (Index.lookup_prefix idx ~attr:"serialnumber" "240"));
+  (* The lazy range scan yields one posting per matching value, in
+     value order, and stops at the first value past the prefix. *)
+  Alcotest.(check (list int)) "prefix postings 24" [ 1; 1; 1 ]
+    (List.of_seq
+       (Seq.map Dn.Set.cardinal (Index.prefix_postings idx ~attr:"serialnumber" "24")));
+  check_int "prefix postings miss" 0
+    (Seq.length (Index.prefix_postings idx ~attr:"mail" "24"))
 
 let test_index_remove () =
   let idx = Index.create schema ~attrs:[ "serialnumber" ] in

@@ -324,6 +324,44 @@ let test_structural_write () =
     (Backend.find (Shard_master.backend (Router.shard router 1)) (dn "ou=extra,o=shard")
     = None)
 
+(* A structural entry whose children all live on other shards is a
+   leaf on shard 0.  Deleting or renaming it must still be refused, as
+   the single master refuses it, and before any shard commits. *)
+let all_entries = Query.make ~base:root (f "(objectclass=*)")
+let ou_query = Query.make ~base:root (f "(objectclass=organizationalUnit)")
+
+let rdn s = match Dn.rdn_of_string s with Ok r -> r | Error e -> failwith e
+
+let test_refused_structural_delete () =
+  let router, _, source = make_router ~countries:4 ~shards:2 () in
+  check_bool "shard 0 holds ou=c1" true
+    (Backend.find (Shard_master.backend (Router.shard router 0)) (country_dn 1) <> None);
+  check_bool "delete refused" true
+    (Result.is_error (route_apply router source (Update.delete (country_dn 1))));
+  check_bool "ou=c1 still served" true (search_matches_oracle router source ou_query);
+  check_bool "every entry intact" true (search_matches_oracle router source all_entries)
+
+let test_refused_structural_rename () =
+  let router, _, source = make_router ~countries:4 ~shards:2 () in
+  check_bool "rename refused" true
+    (Result.is_error
+       (route_apply router source (Update.modify_dn (country_dn 1) (rdn "ou=renamed"))));
+  check_bool "no ou=renamed" true (search_matches_oracle router source ou_query);
+  check_bool "every entry intact" true (search_matches_oracle router source all_entries);
+  (* Emptied, the same entry renames and then deletes everywhere. *)
+  for n = 0 to 2 do
+    ignore (must (route_apply router source (Update.delete (emp_dn 1 n))))
+  done;
+  let renamed = dn "ou=renamed,o=shard" in
+  ignore (must (route_apply router source (Update.modify_dn (country_dn 1) (rdn "ou=renamed"))));
+  check_bool "rename served" true (search_matches_oracle router source ou_query);
+  ignore (must (route_apply router source (Update.delete renamed)));
+  check_bool "delete replicated" true
+    (Array.for_all
+       (fun i -> Backend.find (Shard_master.backend (Router.shard router i)) renamed = None)
+       [| 0; 1 |]);
+  check_bool "every entry intact" true (search_matches_oracle router source all_entries)
+
 let test_geo_pruning_disabled_by_violation () =
   let router, _, source = make_router ~shards:2 () in
   let q = Query.make ~base:(country_dn 1) (f "(objectclass=inetOrgPerson)") in
@@ -691,6 +729,9 @@ type sim_op =
   | Op_add of int * int * int
   | Op_del of int
   | Op_rename of int * int
+  | Op_empty_ou of int
+  | Op_del_ou of int
+  | Op_rename_ou of int * int
   | Op_poll
 
 let sim_op_gen =
@@ -703,32 +744,51 @@ let sim_op_gen =
              (pair (int_bound 2) (pair (int_bound 2) (int_bound 4))));
         (1, map (fun i -> Op_del i) (int_bound 8));
         (1, map (fun (i, k) -> Op_rename (i, k)) (pair (int_bound 8) (int_bound 2)));
+        (1, map (fun c -> Op_empty_ou c) (int_bound 2));
+        (1, map (fun c -> Op_del_ou c) (int_bound 2));
+        (1, map (fun (c, k) -> Op_rename_ou (c, k)) (pair (int_bound 2) (int_bound 1)));
         (3, return Op_poll);
       ])
 
-let sim_update = function
+(* Structural writes: [Op_empty_ou] deletes every child an [ou=cN]
+   can have (original, added and renamed leaves), so a later delete or
+   rename of the [ou] is accepted; otherwise it is refused. *)
+let sim_updates = function
   | Op_phone i ->
-      Update.modify (emp_dn (i / 3) (i mod 3))
-        [ Update.replace_values "telephonenumber" [ Printf.sprintf "555-%04d" i ] ]
+      [
+        Update.modify (emp_dn (i / 3) (i mod 3))
+          [ Update.replace_values "telephonenumber" [ Printf.sprintf "555-%04d" i ] ];
+      ]
   | Op_rekey (i, b) ->
-      Update.modify (emp_dn (i / 3) (i mod 3))
-        [ Update.replace_values "serialnumber" [ serial b (100 + i) ] ]
+      [
+        Update.modify (emp_dn (i / 3) (i mod 3))
+          [ Update.replace_values "serialnumber" [ serial b (100 + i) ] ];
+      ]
   | Op_add (k, c, b) ->
-      Update.add
-        (Entry.make
-           (dn (Printf.sprintf "cn=x%d,ou=c%d,o=shard" k c))
-           [
-             ("objectclass", [ "inetOrgPerson" ]);
-             ("cn", [ Printf.sprintf "x%d" k ]);
-             ("sn", [ Printf.sprintf "x%d" k ]);
-             ("serialNumber", [ serial b (200 + k) ]);
-           ])
-  | Op_del i -> Update.delete (emp_dn (i / 3) (i mod 3))
+      [
+        Update.add
+          (Entry.make
+             (dn (Printf.sprintf "cn=x%d,ou=c%d,o=shard" k c))
+             [
+               ("objectclass", [ "inetOrgPerson" ]);
+               ("cn", [ Printf.sprintf "x%d" k ]);
+               ("sn", [ Printf.sprintf "x%d" k ]);
+               ("serialNumber", [ serial b (200 + k) ]);
+             ]);
+      ]
+  | Op_del i -> [ Update.delete (emp_dn (i / 3) (i mod 3)) ]
   | Op_rename (i, k) ->
-      Update.modify_dn (emp_dn (i / 3) (i mod 3))
-        (match Dn.rdn_of_string (Printf.sprintf "cn=r%d" k) with
-        | Ok r -> r
-        | Error e -> failwith e)
+      [ Update.modify_dn (emp_dn (i / 3) (i mod 3)) (rdn (Printf.sprintf "cn=r%d" k)) ]
+  | Op_empty_ou c ->
+      List.concat_map
+        (fun k ->
+          List.map
+            (fun leaf -> Update.delete (dn (Printf.sprintf "cn=%s,ou=c%d,o=shard" leaf c)))
+            [ Printf.sprintf "p%d-%d" c k; Printf.sprintf "x%d" k; Printf.sprintf "r%d" k ])
+        [ 0; 1; 2 ]
+  | Op_del_ou c -> [ Update.delete (country_dn c) ]
+  | Op_rename_ou (c, k) ->
+      [ Update.modify_dn (country_dn c) (rdn (Printf.sprintf "ou=n%d" k)) ]
   | Op_poll -> assert false
 
 let equiv_case_gen =
@@ -756,6 +816,9 @@ let prop_router_equals_single_master =
            | Op_add (k, c, b) -> Printf.sprintf "add %d@c%d:%d" k c b
            | Op_del i -> Printf.sprintf "del %d" i
            | Op_rename (i, k) -> Printf.sprintf "rename %d->r%d" i k
+           | Op_empty_ou c -> Printf.sprintf "empty c%d" c
+           | Op_del_ou c -> Printf.sprintf "del c%d" c
+           | Op_rename_ou (c, k) -> Printf.sprintf "rename c%d->n%d" c k
            | Op_poll -> "poll"
          in
          Printf.sprintf "shards=%d strategy=%d query=%d ops=[%s]" s st qk
@@ -788,14 +851,17 @@ let prop_router_equals_single_master =
              match op with
              | Op_poll -> sync_both ()
              | _ ->
-                 let u = sim_update op in
-                 (match (Router.apply router u, Backend.apply source u) with
-                 | Ok _, Ok _ | Error _, Error _ -> true
-                 | _ -> false)
+                 List.for_all
+                   (fun u ->
+                     match (Router.apply router u, Backend.apply source u) with
+                     | Ok _, Ok _ | Error _, Error _ -> true
+                     | _ -> false)
+                   (sim_updates op)
                  && search_matches_oracle router source q)
            ops
       && sync_both ()
-      && search_matches_oracle router source broadcast_query)
+      && search_matches_oracle router source broadcast_query
+      && search_matches_oracle router source all_entries)
 
 let suite =
   [
@@ -810,6 +876,8 @@ let suite =
     Alcotest.test_case "write routing" `Quick test_write_routing;
     Alcotest.test_case "ownership move" `Quick test_ownership_move;
     Alcotest.test_case "structural write" `Quick test_structural_write;
+    Alcotest.test_case "refused structural delete" `Quick test_refused_structural_delete;
+    Alcotest.test_case "refused structural rename" `Quick test_refused_structural_rename;
     Alcotest.test_case "geo pruning disabled" `Quick
       test_geo_pruning_disabled_by_violation;
     Alcotest.test_case "resync single shard" `Quick test_resync_single_shard_session;
