@@ -216,11 +216,6 @@ let donor_attrs_cover ~donor q =
       | None -> false
       | Some needed -> List.for_all (fun a -> List.mem a avail) needed)
 
-let donor_csn consumer =
-  match Resync.Consumer.cookie consumer with
-  | Some ck -> Option.map snd (Resync.Protocol.parse_cookie ck)
-  | None -> None
-
 let seed_entries t q donors =
   let wq = Replica.widen_attrs q in
   let seen = Hashtbl.create 64 in
@@ -253,7 +248,7 @@ let install_filter_rescoped t q ~donor =
     match C.Containment_index.find t.index donor with
     | None -> fallback ()
     | Some dc -> (
-        match (donor_attrs_cover ~donor q, donor_csn dc) with
+        match (donor_attrs_cover ~donor q, Resync.Consumer.acked_csn dc) with
         | true, Some csn -> (
             let consumer = make_consumer t q in
             Resync.Consumer.apply_reply consumer

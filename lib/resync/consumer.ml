@@ -42,6 +42,7 @@ let create schema query =
 
 let query t = t.query
 let cookie t = t.cookie
+let acked_csn t = Option.bind t.cookie (fun c -> Option.map snd (Protocol.parse_cookie c))
 let set_cookie t c = t.cookie <- c
 let set_on_change t f = t.on_change <- Some f
 

@@ -46,6 +46,10 @@ val cookie : t -> string option
 (** Opaque resume cookie from the last reply; [None] before the first
     sync. *)
 
+val acked_csn : t -> Csn.t option
+(** The CSN the held cookie acknowledges; [None] before the first sync
+    or when the cookie is not a plain [rs:] cookie. *)
+
 val set_cookie : t -> string option -> unit
 (** Overrides the stored resume cookie.  Used when a consumer is
     re-parented to a different upstream: the topology layer installs

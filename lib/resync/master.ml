@@ -1,36 +1,26 @@
 open Ldap
 
 type strategy = Session_history | Changelog | Tombstone
-type dispatch = Routed | Naive
+type dispatch = Session_server.dispatch = Routed | Naive
 
-type session = {
-  id : int;
-  query : Query.t;
-  matcher : Content.matcher;  (* query compiled once, reused per update *)
+(* What the master keeps per session beside the shared session record. *)
+type state = {
   mutable pending : Action.t list;  (* newest first; Session_history only *)
   mutable pending_len : int;  (* tracked so the high-water check is O(1) *)
-  mutable synced_csn : Csn.t;
-  mutable persist_push : Protocol.push_channel option;
   outq : Action.t Queue.t;
       (* persist notifications the channel reported [Push_stalled] for;
          oldest first, drained before anything new is sent *)
   mutable outq_len : int;
-  mutable last_active : int;
 }
 
+type session = state Session_server.session
 type tombstone = { ts_dn : Dn.t; ts_csn : Csn.t }
 
 type t = {
   backend : Backend.t;
   strategy : strategy;
-  sessions : (int, session) Hashtbl.t;
-  dispatch : Ldap_containment.Predicate_index.t option;  (* [Routed] only *)
-  persist : (int, session) Hashtbl.t;
-      (* sessions holding a push channel; every update must advance
-         their synced CSN even when it yields no actions *)
+  sessions : state Session_server.table;
   mutable tombstones : tombstone list;  (* newest first; Tombstone only *)
-  mutable next_id : int;
-  mutable clock : int;  (* protocol activity ticks *)
   mutable store : Ldap_store.Store.t option;
   mutable history_limit : int option;
       (* high-water mark on one session's pending buffer; a session
@@ -78,11 +68,11 @@ module DW = Der.W
 let journal_w t emit =
   match t.store with Some s -> Ldap_store.Store.append_w s emit | None -> ()
 
-let new_record w (s : session) =
+let new_record w ~id query csn =
   let m = DW.mark w in
-  DW.integer w (Csn.to_int s.synced_csn);
-  DW.query w s.query;
-  DW.integer w s.id;
+  DW.integer w (Csn.to_int csn);
+  DW.query w query;
+  DW.integer w id;
   DW.enum w 0;
   DW.close_seq w m
 
@@ -115,45 +105,10 @@ let ts_record w ts =
   DW.enum w 4;
   DW.close_seq w m
 
-(* The [persist] table and the dispatch index shadow [sessions]; all
-   membership changes go through these helpers to keep them in sync. *)
-let clear_outq t session =
-  Queue.clear session.outq;
-  session.outq_len <- 0;
+let clear_outq t (session : session) =
+  Queue.clear session.state.outq;
+  session.state.outq_len <- 0;
   Hashtbl.remove t.stalled session.id
-
-let set_persist t session push =
-  session.persist_push <- push;
-  match push with
-  | Some _ ->
-      (* A replaced channel's undelivered queue belongs to the dead
-         connection; the (re)establishment reply covers that interval,
-         so the queue is dropped rather than replayed out of band. *)
-      clear_outq t session;
-      Hashtbl.replace t.persist session.id session
-  | None -> Hashtbl.remove t.persist session.id
-
-let remove_session t id =
-  if Hashtbl.mem t.sessions id then journal_w t (fun w -> removed_record w id);
-  (match Hashtbl.find_opt t.sessions id with
-  | Some s -> clear_outq t s
-  | None -> ());
-  Hashtbl.remove t.sessions id;
-  Hashtbl.remove t.persist id;
-  Hashtbl.remove t.stalled id;
-  Option.iter
-    (fun idx -> Ldap_containment.Predicate_index.remove idx id)
-    t.dispatch
-
-let cookie_of id csn = Protocol.cookie_of ~id ~csn
-let parse_cookie = Protocol.parse_cookie
-
-(* Transmitted entries honour the session query's attribute selection,
-   exactly like search results do. *)
-let select_action (q : Query.t) = function
-  | Action.Add e -> Action.Add (Entry.select e (Query.attr_list q.Query.attrs))
-  | Action.Modify e -> Action.Modify (Entry.select e (Query.attr_list q.Query.attrs))
-  | (Action.Delete _ | Action.Retain _) as a -> a
 
 (* Tombstones at or below every live session's synced CSN can never be
    replayed again ([tombstone_actions] only sends those with
@@ -162,8 +117,8 @@ let select_action (q : Query.t) = function
 let gc_tombstones t =
   if t.strategy = Tombstone && t.tombstones <> [] then
     let min_synced =
-      Hashtbl.fold
-        (fun _ s acc ->
+      Session_server.fold
+        (fun s acc ->
           match acc with
           | None -> Some s.synced_csn
           | Some m -> Some (if Csn.( < ) s.synced_csn m then s.synced_csn else m))
@@ -173,228 +128,6 @@ let gc_tombstones t =
       (match min_synced with
       | None -> []
       | Some m -> List.filter (fun ts -> Csn.( < ) m ts.ts_csn) t.tombstones)
-
-(* --- Bounded persist-push queues -------------------------------------
-   A persist channel's send can stall (receiver not draining) or fail
-   (connection reset).  Stalled actions go to the session's outbound
-   queue, bounded by [persist_queue_limit]: past the bound the channel
-   is closed and the session retired, so the consumer's reconnection
-   escalates to a degraded resync — the stalled leaf pays the resync,
-   not the master's heap (the same shape as the pending-history HWM). *)
-
-let enqueue_push t session a =
-  Queue.push a session.outq;
-  session.outq_len <- session.outq_len + 1;
-  if session.outq_len = 1 then Hashtbl.replace t.stalled session.id session;
-  if session.outq_len > t.push_queue_peak then
-    t.push_queue_peak <- session.outq_len
-
-(* Sends the queued backlog, oldest first; answers the channel status
-   left after the attempt. *)
-let drain_outq t session ch =
-  let status = ref `Ok in
-  while !status = `Ok && session.outq_len > 0 do
-    match ch.Protocol.pc_send (Queue.peek session.outq) with
-    | Protocol.Push_ok ->
-        ignore (Queue.pop session.outq);
-        session.outq_len <- session.outq_len - 1;
-        if session.outq_len = 0 then Hashtbl.remove t.stalled session.id
-    | Protocol.Push_stalled -> status := `Stalled
-    | Protocol.Push_gone -> status := `Gone
-  done;
-  !status
-
-let defer_remove t session =
-  if not (List.mem session.id t.overflowed) then
-    t.overflowed <- session.id :: t.overflowed
-
-(* Retire a persist session whose channel is unusable (reset, or queue
-   past the bound).  Removal is deferred when called mid-dispatch. *)
-let retire_persist t session ch ~deferred =
-  ch.Protocol.pc_close ();
-  clear_outq t session;
-  if deferred then defer_remove t session else remove_session t session.id
-
-(* Classify a committed update against one session, via the session's
-   compiled matcher — the bytecode program built once at session
-   creation rather than re-walking the filter AST per update. *)
-let classify_for t (record : Update.record) session =
-  let transition =
-    Content.classify_m session.matcher ~before:record.before ~after:record.after
-  in
-  let actions =
-    List.map (select_action session.query) (Content.actions_of_transition transition)
-  in
-  match session.persist_push with
-  | Some ch -> (
-      let status =
-        List.fold_left
-          (fun st a ->
-            match st with
-            | `Gone -> `Gone
-            | `Stalled ->
-                enqueue_push t session a;
-                `Stalled
-            | `Ok -> (
-                match ch.Protocol.pc_send a with
-                | Protocol.Push_ok -> `Ok
-                | Protocol.Push_stalled ->
-                    enqueue_push t session a;
-                    `Stalled
-                | Protocol.Push_gone -> `Gone))
-          (drain_outq t session ch)
-          actions
-      in
-      match status with
-      | `Gone ->
-          (* Write after reset: the consumer is gone, and everything
-             sent since the reset was lost anyway.  Retiring the
-             session makes its reconnection a degraded resync instead
-             of the master pushing into the void. *)
-          t.push_resets <- t.push_resets + 1;
-          retire_persist t session ch ~deferred:true
-      | `Ok | `Stalled -> (
-          (* Every update — even one producing no actions for this
-             filter — is pushed through up to its CSN, so the session
-             must not pin retained history at an older CSN.  Queued
-             actions still count as progress: either they drain later
-             or the session is retired, and a reconnection resyncs
-             degraded from the CSN the consumer acknowledges. *)
-          session.synced_csn <- record.csn;
-          journal_w t (fun w -> synced_record w session.id record.csn ~clear:false);
-          match t.persist_queue_limit with
-          | Some limit when session.outq_len > limit ->
-              t.push_overflows <- t.push_overflows + 1;
-              retire_persist t session ch ~deferred:true
-          | Some _ | None -> ()))
-  | None ->
-      if actions <> [] && t.strategy = Session_history then begin
-        session.pending <- List.rev_append actions session.pending;
-        session.pending_len <- session.pending_len + List.length actions;
-        journal_w t (fun w -> pending_record w session.id actions);
-        match t.history_limit with
-        | Some limit when session.pending_len > limit ->
-            (* Past the high-water mark the buffered history is worth
-               less than the memory it pins: drop it and let the next
-               poll find no session, which serves a degraded
-               snapshot-diff from the cookie's CSN (eq. (3)) — the
-               slow consumer pays the resync, not the master's heap.
-               Removal is deferred: this runs inside the session-table
-               iteration. *)
-            session.pending <- [];
-            session.pending_len <- 0;
-            t.hwm_overflows <- t.hwm_overflows + 1;
-            defer_remove t session
-        | Some _ | None -> ()
-      end
-
-let add_tombstone t ts =
-  t.tombstones <- ts :: t.tombstones;
-  journal_w t (fun w -> ts_record w ts)
-
-let on_update t (record : Update.record) =
-  (if t.strategy = Tombstone then
-     match record.Update.op with
-     | Update.Delete dn -> add_tombstone t { ts_dn = dn; ts_csn = record.csn }
-     | Update.Modify_dn { dn; _ } ->
-         (* The old DN disappears: tombstone it. *)
-         add_tombstone t { ts_dn = dn; ts_csn = record.csn }
-     | Update.Add _ | Update.Modify _ -> ());
-  (match t.dispatch with
-  | None ->
-      (* Naive dispatch: classify against every live session. *)
-      Hashtbl.iter (fun _ session -> classify_for t record session) t.sessions
-  | Some idx ->
-      (* Routed dispatch: only sessions whose filter anchors are hit by
-         the update's before/after images can change content, so only
-         those are classified.  The rest see [Stays_out] by the index's
-         superset guarantee — no actions; persistent sessions among
-         them still acknowledge the CSN, exactly as the naive path's
-         empty classification would. *)
-      let affected =
-        Ldap_containment.Predicate_index.affected idx ~before:record.before
-          ~after:record.after
-      in
-      Ldap_containment.Predicate_index.iter
-        (fun id ->
-          match Hashtbl.find_opt t.sessions id with
-          | Some session -> classify_for t record session
-          | None -> ())
-        affected;
-      Hashtbl.iter
-        (fun id session ->
-          if not (Ldap_containment.Predicate_index.mem affected id) then begin
-            session.synced_csn <- record.csn;
-            journal_w t (fun w -> synced_record w id record.csn ~clear:false)
-          end)
-        t.persist);
-  (match t.overflowed with
-  | [] -> ()
-  | ids ->
-      t.overflowed <- [];
-      List.iter (remove_session t) ids);
-  gc_tombstones t
-
-let create ?history_limit ?persist_queue_limit ?(strategy = Session_history)
-    ?(dispatch = Routed) backend =
-  let t =
-    {
-      backend;
-      strategy;
-      sessions = Hashtbl.create 16;
-      dispatch =
-        (match dispatch with
-        | Routed -> Some (Ldap_containment.Predicate_index.create (Backend.schema backend))
-        | Naive -> None);
-      persist = Hashtbl.create 16;
-      tombstones = [];
-      next_id = 1;
-      clock = 0;
-      store = None;
-      history_limit;
-      overflowed = [];
-      stalled = Hashtbl.create 4;
-      persist_queue_limit;
-      hwm_overflows = 0;
-      push_overflows = 0;
-      push_resets = 0;
-      push_queue_peak = 0;
-    }
-  in
-  Backend.subscribe backend (on_update t);
-  t
-
-let history_limit t = t.history_limit
-let set_history_limit t limit = t.history_limit <- limit
-let persist_queue_limit t = t.persist_queue_limit
-let set_persist_queue_limit t limit = t.persist_queue_limit <- limit
-
-(* Re-attempts every stalled session's backlog — what a driver calls
-   after a paused consumer resumes.  Channels found dead retire their
-   session on the spot (no dispatch is running here). *)
-let flush_pushes t =
-  let stalled = Hashtbl.fold (fun _ s acc -> s :: acc) t.stalled [] in
-  List.iter
-    (fun session ->
-      match session.persist_push with
-      | None -> clear_outq t session
-      | Some ch -> (
-          match drain_outq t session ch with
-          | `Ok | `Stalled -> ()
-          | `Gone ->
-              t.push_resets <- t.push_resets + 1;
-              retire_persist t session ch ~deferred:false))
-    stalled
-
-let push_queue_stats t =
-  Hashtbl.fold
-    (fun _ s (total, biggest) -> (total + s.outq_len, max biggest s.outq_len))
-    t.stalled (0, 0)
-
-let push_queue_peak t = t.push_queue_peak
-let push_overflows t = t.push_overflows
-let push_resets t = t.push_resets
-let history_overflows t = t.hwm_overflows
 
 (* --- Per-DN coalescing of buffered actions --------------------------
    A session's pending actions are replayed as the minimal update set:
@@ -461,7 +194,7 @@ let member schema q e = Content.member schema q e
 
 (* Changelog replay: only (kind, DN, changed attrs, current state) may
    be used — no pre-images. *)
-let changelog_actions t session =
+let changelog_actions t (session : session) =
   let schema = Backend.schema t.backend in
   let q = session.query in
   let attrs_of_interest = filter_attrs q in
@@ -501,22 +234,14 @@ let changelog_actions t session =
             | Some _ | None -> deletes))
       records
   in
-  List.map (select_action q) (coalesce actions)
+  List.map (Session_server.select_action q) (coalesce actions)
 
 (* Tombstone replay: current entries (with modifyTimestamp) plus
    DN-only tombstones. *)
-let tombstone_actions t session =
+let tombstone_actions t (session : session) =
   let schema = Backend.schema t.backend in
   let q = session.query in
   let since = session.synced_csn in
-  let changed_since e =
-    match Entry.get e "modifytimestamp" with
-    | [ ts ] -> (
-        match int_of_string_opt ts with
-        | Some c -> Csn.( < ) since (Csn.of_int c)
-        | None -> true)
-    | _ -> true
-  in
   let deletes =
     List.filter_map
       (fun ts -> if Csn.( < ) since ts.ts_csn then Some (Action.Delete ts.ts_dn) else None)
@@ -524,201 +249,294 @@ let tombstone_actions t session =
   in
   let upserts_and_conservative =
     Backend.fold_entries t.backend ~init:[] ~f:(fun acc e ->
-        if not (changed_since e) then acc
+        if not (Session_server.modified_since since e) then acc
         else if member schema q e then Action.Add e :: acc
         else
           (* Changed entry outside the content: it may have just left
              it, and without a pre-image the master cannot tell. *)
           Action.Delete (Entry.dn e) :: acc)
   in
-  List.map (select_action q) (coalesce (deletes @ upserts_and_conservative))
+  List.map (Session_server.select_action q) (coalesce (deletes @ upserts_and_conservative))
 
-(* Degraded mode (eq. (3)): full entries for changed members, retain
-   for unchanged members. *)
-let degraded_actions t q ~since =
-  let schema = Backend.schema t.backend in
-  ignore schema;
-  let members = Content.current t.backend q in
-  List.map
-    (fun e ->
-      let changed =
-        match Entry.get e "modifytimestamp" with
-        | [ ts ] -> (
-            match int_of_string_opt ts with
-            | Some c -> Csn.( < ) since (Csn.of_int c)
-            | None -> true)
-        | _ -> true
+let incremental_actions t (session : session) =
+  (* A resumed persist session's channel was just (re)attached: the
+     replaced connection's undelivered queue is covered by this reply,
+     so it is dropped rather than replayed out of band. *)
+  if Option.is_some session.push then clear_outq t session;
+  match t.strategy with
+  | Session_history ->
+      (* Pending actions were selected when buffered. *)
+      let a = coalesce (List.rev session.state.pending) in
+      session.state.pending <- [];
+      session.state.pending_len <- 0;
+      (Protocol.Incremental, a)
+  | Changelog ->
+      if Backend.log_complete_since t.backend session.synced_csn then
+        (Protocol.Incremental, changelog_actions t session)
+      else
+        (* The changelog no longer reaches back to the session's CSN
+           (trimmed history): fall back to eq. (3) instead of silently
+           missing updates.  Session history is immune — its
+           per-session buffers live outside the log. *)
+        ( Protocol.Degraded,
+          List.map (Session_server.select_action session.query)
+            (Session_server.degraded_actions ~since:session.synced_csn
+               (Content.current t.backend session.query)) )
+  | Tombstone -> (Protocol.Incremental, tombstone_actions t session)
+
+let fresh_state () = { pending = []; pending_len = 0; outq = Queue.create (); outq_len = 0 }
+
+module Srv = Session_server.Make (struct
+  type nonrec t = t
+  type nonrec state = state
+  type admit = unit
+
+  let table t = t.sessions
+  let admit _ _ = Ok ()
+
+  let start t () ~id query =
+    let csn = Backend.csn t.backend in
+    journal_w t (fun w -> new_record w ~id query csn);
+    (fresh_state (), csn)
+
+  let stop t session =
+    journal_w t (fun w -> removed_record w session.Session_server.id);
+    clear_outq t session
+
+  let content t () query = Content.current t.backend query
+  let sent _ _ _ = ()
+  let incremental = incremental_actions
+
+  let advance t (session : session) ~incremental =
+    let csn = Backend.csn t.backend in
+    session.synced_csn <- csn;
+    journal_w t (fun w ->
+        synced_record w session.id csn
+          ~clear:(incremental && t.strategy = Session_history))
+end)
+
+let remove_session = Srv.remove
+
+(* --- Bounded persist-push queues -------------------------------------
+   A persist channel's send can stall (receiver not draining) or fail
+   (connection reset).  Stalled actions go to the session's outbound
+   queue, bounded by [persist_queue_limit]: past the bound the channel
+   is closed and the session retired, so the consumer's reconnection
+   escalates to a degraded resync — the stalled leaf pays the resync,
+   not the master's heap (the same shape as the pending-history HWM). *)
+
+let enqueue_push t (session : session) a =
+  let st = session.state in
+  Queue.push a st.outq;
+  st.outq_len <- st.outq_len + 1;
+  if st.outq_len = 1 then Hashtbl.replace t.stalled session.id session;
+  if st.outq_len > t.push_queue_peak then t.push_queue_peak <- st.outq_len
+
+(* Sends the queued backlog, oldest first; answers the channel status
+   left after the attempt. *)
+let drain_outq t (session : session) ch =
+  let st = session.state in
+  let status = ref `Ok in
+  while !status = `Ok && st.outq_len > 0 do
+    match ch.Protocol.pc_send (Queue.peek st.outq) with
+    | Protocol.Push_ok ->
+        ignore (Queue.pop st.outq);
+        st.outq_len <- st.outq_len - 1;
+        if st.outq_len = 0 then Hashtbl.remove t.stalled session.id
+    | Protocol.Push_stalled -> status := `Stalled
+    | Protocol.Push_gone -> status := `Gone
+  done;
+  !status
+
+let defer_remove t (session : session) =
+  if not (List.mem session.id t.overflowed) then
+    t.overflowed <- session.id :: t.overflowed
+
+(* Retire a persist session whose channel is unusable (reset, or queue
+   past the bound).  Removal is deferred when called mid-dispatch. *)
+let retire_persist t (session : session) ch ~deferred =
+  ch.Protocol.pc_close ();
+  clear_outq t session;
+  if deferred then defer_remove t session else remove_session t session.id
+
+let advance_to t (session : session) csn =
+  session.synced_csn <- csn;
+  journal_w t (fun w -> synced_record w session.id csn ~clear:false)
+
+(* Classify a committed update against one session, via the session's
+   compiled matcher — the bytecode program built once at session
+   creation rather than re-walking the filter AST per update. *)
+let classify_for t (record : Update.record) (session : session) =
+  let actions =
+    Session_server.actions_for session ~before:record.before ~after:record.after
+  in
+  match session.push with
+  | Some ch -> (
+      let status =
+        List.fold_left
+          (fun st a ->
+            match st with
+            | `Gone -> `Gone
+            | `Stalled ->
+                enqueue_push t session a;
+                `Stalled
+            | `Ok -> (
+                match ch.Protocol.pc_send a with
+                | Protocol.Push_ok -> `Ok
+                | Protocol.Push_stalled ->
+                    enqueue_push t session a;
+                    `Stalled
+                | Protocol.Push_gone -> `Gone))
+          (drain_outq t session ch)
+          actions
       in
-      if changed then Action.Add e else Action.Retain (Entry.dn e))
-    members
+      match status with
+      | `Gone ->
+          (* Write after reset: the consumer is gone, and everything
+             sent since the reset was lost anyway.  Retiring the
+             session makes its reconnection a degraded resync instead
+             of the master pushing into the void. *)
+          t.push_resets <- t.push_resets + 1;
+          retire_persist t session ch ~deferred:true
+      | `Ok | `Stalled -> (
+          (* Every update — even one producing no actions for this
+             filter — is pushed through up to its CSN, so the session
+             must not pin retained history at an older CSN.  Queued
+             actions still count as progress: either they drain later
+             or the session is retired, and a reconnection resyncs
+             degraded from the CSN the consumer acknowledges. *)
+          advance_to t session record.csn;
+          match t.persist_queue_limit with
+          | Some limit when session.state.outq_len > limit ->
+              t.push_overflows <- t.push_overflows + 1;
+              retire_persist t session ch ~deferred:true
+          | Some _ | None -> ()))
+  | None ->
+      let st = session.state in
+      if actions <> [] && t.strategy = Session_history then begin
+        st.pending <- List.rev_append actions st.pending;
+        st.pending_len <- st.pending_len + List.length actions;
+        journal_w t (fun w -> pending_record w session.id actions);
+        match t.history_limit with
+        | Some limit when st.pending_len > limit ->
+            (* Past the high-water mark the buffered history is worth
+               less than the memory it pins: drop it and let the next
+               poll find no session, which serves a degraded
+               snapshot-diff from the cookie's CSN (eq. (3)) — the
+               slow consumer pays the resync, not the master's heap.
+               Removal is deferred: this runs inside the session-table
+               iteration. *)
+            st.pending <- [];
+            st.pending_len <- 0;
+            t.hwm_overflows <- t.hwm_overflows + 1;
+            defer_remove t session
+        | Some _ | None -> ()
+      end
 
-let new_session t query ~persist_push =
-  (* Session id 0 is the reserved foreign-session marker
-     ({!Protocol.reparent_cookie}); a master must never allocate it,
-     even if [next_id] wraps around. *)
-  if t.next_id = 0 then t.next_id <- 1;
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  let session =
+let add_tombstone t ts =
+  t.tombstones <- ts :: t.tombstones;
+  journal_w t (fun w -> ts_record w ts)
+
+let on_update t (record : Update.record) =
+  (if t.strategy = Tombstone then
+     match record.Update.op with
+     | Update.Delete dn -> add_tombstone t { ts_dn = dn; ts_csn = record.csn }
+     | Update.Modify_dn { dn; _ } ->
+         (* The old DN disappears: tombstone it. *)
+         add_tombstone t { ts_dn = dn; ts_csn = record.csn }
+     | Update.Add _ | Update.Modify _ -> ());
+  (* Only sessions whose filter anchors are hit by the update's
+     before/after images can change content, so only those are
+     classified.  The rest see [Stays_out] by the index's superset
+     guarantee — no actions; persistent sessions among them still
+     acknowledge the CSN, exactly as an empty classification would. *)
+  let affected =
+    Session_server.affected t.sessions ~before:record.before ~after:record.after
+  in
+  Session_server.iter_affected (classify_for t record) t.sessions affected;
+  Session_server.iter_persist
+    (fun session ->
+      if not (Session_server.is_affected affected session.id) then
+        advance_to t session record.csn)
+    t.sessions;
+  (match t.overflowed with
+  | [] -> ()
+  | ids ->
+      t.overflowed <- [];
+      List.iter (remove_session t) ids);
+  gc_tombstones t
+
+let create ?history_limit ?persist_queue_limit ?(strategy = Session_history)
+    ?(dispatch = Routed) backend =
+  let t =
     {
-      id;
-      query;
-      matcher = Content.matcher (Backend.schema t.backend) query;
-      pending = [];
-      pending_len = 0;
-      synced_csn = Backend.csn t.backend;
-      persist_push = None;
-      outq = Queue.create ();
-      outq_len = 0;
-      last_active = t.clock;
+      backend;
+      strategy;
+      sessions = Session_server.create (Backend.schema backend) dispatch;
+      tombstones = [];
+      store = None;
+      history_limit;
+      overflowed = [];
+      stalled = Hashtbl.create 4;
+      persist_queue_limit;
+      hwm_overflows = 0;
+      push_overflows = 0;
+      push_resets = 0;
+      push_queue_peak = 0;
     }
   in
-  Hashtbl.replace t.sessions id session;
-  set_persist t session persist_push;
-  Option.iter
-    (fun idx ->
-      Ldap_containment.Predicate_index.add idx id query.Query.filter)
-    t.dispatch;
-  journal_w t (fun w -> new_record w session);
-  session
+  Backend.subscribe backend (on_update t);
+  t
 
-(* Poll replies carry the resume cookie; persist replies carry the
-   same cookie as a reconnection handle — if the connection breaks,
-   presenting it tells the master which CSN the consumer last
-   acknowledged, so reconnection can resume (or degrade) instead of
-   reloading. *)
-let session_cookie session ~mode =
-  match mode with
-  | Protocol.Poll | Protocol.Persist -> Some (cookie_of session.id session.synced_csn)
-  | Protocol.Sync_end -> None
+let history_limit t = t.history_limit
+let set_history_limit t limit = t.history_limit <- limit
+let persist_queue_limit t = t.persist_queue_limit
+let set_persist_queue_limit t limit = t.persist_queue_limit <- limit
 
-let advance_synced t session ~clear =
-  let csn = Backend.csn t.backend in
-  session.synced_csn <- csn;
-  journal_w t (fun w -> synced_record w session.id csn ~clear)
+(* Re-attempts every stalled session's backlog — what a driver calls
+   after a paused consumer resumes.  Channels found dead retire their
+   session on the spot (no dispatch is running here). *)
+let flush_pushes t =
+  let stalled = Hashtbl.fold (fun _ s acc -> s :: acc) t.stalled [] in
+  List.iter
+    (fun (session : session) ->
+      match session.push with
+      | None -> clear_outq t session
+      | Some ch -> (
+          match drain_outq t session ch with
+          | `Ok | `Stalled -> ()
+          | `Gone ->
+              t.push_resets <- t.push_resets + 1;
+              retire_persist t session ch ~deferred:false))
+    stalled
 
-let initial_reply t session ~mode =
-  let entries = Content.current t.backend session.query in
-  let actions = List.map (fun e -> Action.Add e) entries in
-  advance_synced t session ~clear:false;
-  { Protocol.kind = Protocol.Initial_content; actions; cookie = session_cookie session ~mode }
+let push_queue_stats t =
+  Hashtbl.fold
+    (fun _ (s : session) (total, biggest) ->
+      (total + s.state.outq_len, max biggest s.state.outq_len))
+    t.stalled (0, 0)
 
-let incremental_reply t session ~mode =
-  let degraded_fallback () =
-    (* The changelog no longer reaches back to the session's CSN
-       (trimmed history): fall back to eq. (3) instead of silently
-       missing updates.  Session history is immune — its per-session
-       buffers live outside the log. *)
-    let actions =
-      List.map (select_action session.query)
-        (degraded_actions t session.query ~since:session.synced_csn)
-    in
-    (Protocol.Degraded, actions)
-  in
-  let kind, actions =
-    match t.strategy with
-    | Session_history ->
-        (* Pending actions were selected when buffered. *)
-        let a = coalesce (List.rev session.pending) in
-        session.pending <- [];
-        session.pending_len <- 0;
-        (Protocol.Incremental, a)
-    | Changelog ->
-        if Backend.log_complete_since t.backend session.synced_csn then
-          (Protocol.Incremental, changelog_actions t session)
-        else degraded_fallback ()
-    | Tombstone -> (Protocol.Incremental, tombstone_actions t session)
-  in
-  advance_synced t session ~clear:(t.strategy = Session_history);
-  { Protocol.kind; actions; cookie = session_cookie session ~mode }
+let push_queue_peak t = t.push_queue_peak
+let push_overflows t = t.push_overflows
+let push_resets t = t.push_resets
+let history_overflows t = t.hwm_overflows
 
-let degraded_reply t query ~since ~mode ~persist_push =
-  let session = new_session t query ~persist_push in
-  let actions = degraded_actions t query ~since in
-  advance_synced t session ~clear:false;
-  { Protocol.kind = Protocol.Degraded; actions; cookie = session_cookie session ~mode }
-
-let handle t ?push (request : Protocol.request) query =
-  t.clock <- t.clock + 1;
-  let mode = request.Protocol.mode in
-  let result =
-    match mode with
-    | Protocol.Sync_end -> (
-        match request.cookie with
-        | None -> Error "sync_end requires a cookie"
-        | Some c -> (
-            match parse_cookie c with
-            | None -> Error "malformed cookie"
-            | Some (id, _) ->
-                remove_session t id;
-                Ok { Protocol.kind = Protocol.Incremental; actions = []; cookie = None }))
-    | Protocol.Poll | Protocol.Persist -> (
-        if mode = Protocol.Persist && Option.is_none push then
-          Error "persist mode requires a push channel"
-        else
-          let persist_push = if mode = Protocol.Persist then push else None in
-          match request.cookie with
-          | None ->
-              let session = new_session t query ~persist_push in
-              session.last_active <- t.clock;
-              Ok (initial_reply t session ~mode)
-          | Some c -> (
-              match parse_cookie c with
-              | None -> Error "malformed cookie"
-              | Some (id, csn) -> (
-                  match Hashtbl.find_opt t.sessions id with
-                  | Some session
-                    when Query.equal session.query query
-                         && Csn.equal csn session.synced_csn ->
-                      session.last_active <- t.clock;
-                      set_persist t session persist_push;
-                      Ok (incremental_reply t session ~mode)
-                  | Some session when Query.equal session.query query ->
-                      (* The consumer acknowledges a CSN other than the
-                         one this session advanced to: a reply (or a
-                         run of pushed actions) never arrived.  The
-                         per-session history for that interval is gone,
-                         so replaying [pending] would silently diverge —
-                         resynchronize degraded from the CSN the
-                         consumer actually holds. *)
-                      remove_session t session.id;
-                      Ok (degraded_reply t query ~since:csn ~mode ~persist_push)
-                  | Some _ | None ->
-                      (* Unknown or mismatched session: degraded mode
-                         resynchronization from the cookie's CSN. *)
-                      Ok (degraded_reply t query ~since:csn ~mode ~persist_push))))
-  in
+let handle t ?push request query =
+  let reply = Srv.handle t ?push request query in
   gc_tombstones t;
-  result
+  reply
 
-(* Merkle anti-entropy service: walk steps are answered from the
-   backend's current content under the replica's filter — the same
-   "content I should hold" predicate containment gives a search — with
-   the tree rebuilt lazily per request.  A [Fetch] mints a fresh
-   session at the current CSN, so the consumer that installs the
-   shipped entries resumes incremental polling from there. *)
-let antientropy_serve t request query =
-  let select e = Entry.select e (Query.attr_list query.Query.attrs) in
-  Ok
-    (Ldap_antientropy.Exchange.serve
-       ~content:(fun () ->
-         Seq.map select (List.to_seq (Content.current t.backend query)))
-       ~cookie:(fun () ->
-         let session = new_session t query ~persist_push:None in
-         session_cookie session ~mode:Protocol.Poll)
-       request)
+let antientropy_serve = Srv.antientropy_serve
 
 let abandon t ~cookie =
-  (match parse_cookie cookie with
-  | Some (id, _) -> remove_session t id
-  | None -> ());
+  Srv.abandon t ~cookie;
   gc_tombstones t
 
 let expire_sessions t ~idle_limit =
-  let cutoff = t.clock - idle_limit in
+  let cutoff = Session_server.clock t.sessions - idle_limit in
   let stale =
-    Hashtbl.fold
-      (fun id s acc -> if s.last_active <= cutoff then id :: acc else acc)
+    Session_server.fold
+      (fun s acc -> if s.last_active <= cutoff then s.id :: acc else acc)
       t.sessions []
   in
   List.iter (remove_session t) stale;
@@ -728,9 +546,9 @@ let schedule_expiry t engine ~every ~until ~idle_limit =
   Ldap_sim.Engine.every engine ~every ~until (fun () ->
       expire_sessions t ~idle_limit)
 
-let session_count t = Hashtbl.length t.sessions
+let session_count t = Session_server.count t.sessions
 
-let persistent_count t = Hashtbl.length t.persist
+let persistent_count t = Session_server.persistent_count t.sessions
 
 (* --- Durable state --------------------------------------------------- *)
 
@@ -755,8 +573,8 @@ let strategy_of_code = function
    elements in reverse order). *)
 let snapshot_emit t w =
   let sessions =
-    Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
-    |> List.sort (fun a b -> Int.compare b.id a.id)
+    Session_server.fold (fun s acc -> s :: acc) t.sessions []
+    |> List.sort (fun (a : session) (b : session) -> Int.compare b.id a.id)
   in
   let m = DW.mark w in
   let mt = DW.mark w in
@@ -764,18 +582,18 @@ let snapshot_emit t w =
   DW.close_seq w mt;
   let ms = DW.mark w in
   List.iter
-    (fun s ->
+    (fun (s : session) ->
       let mse = DW.mark w in
       DW.integer w s.last_active;
       DW.integer w (Csn.to_int s.synced_csn);
-      Store_codec.W.actions w (List.rev s.pending);
+      Store_codec.W.actions w (List.rev s.state.pending);
       DW.query w s.query;
       DW.integer w s.id;
       DW.close_seq w mse)
     sessions;
   DW.close_seq w ms;
-  DW.integer w t.clock;
-  DW.integer w t.next_id;
+  DW.integer w (Session_server.clock t.sessions);
+  DW.integer w (Session_server.next_id t.sessions);
   DW.enum w (strategy_code t.strategy);
   DW.close_seq w m
 
@@ -837,45 +655,29 @@ let replay_record t payload =
           let id = Der.read_integer inner in
           let query = Der.read_query inner in
           let csn = Csn.of_int (Der.read_integer inner) in
-          let session =
-            {
-              id;
-              query;
-              matcher = Content.matcher (Backend.schema t.backend) query;
-              pending = [];
-              pending_len = 0;
-              synced_csn = csn;
-              persist_push = None;
-              outq = Queue.create ();
-              outq_len = 0;
-              last_active = t.clock;
-            }
-          in
-          Hashtbl.replace t.sessions id session;
-          Option.iter
-            (fun idx ->
-              Ldap_containment.Predicate_index.add idx id query.Query.filter)
-            t.dispatch;
-          if id >= t.next_id then t.next_id <- id + 1
+          ignore
+            (Session_server.add t.sessions ~id query ~csn
+               ~last_active:(Session_server.clock t.sessions)
+               (fresh_state ()))
       | 1 -> remove_session t (Der.read_integer inner)
       | 2 -> (
           let id = Der.read_integer inner in
           let actions = Store_codec.read_actions inner in
-          match Hashtbl.find_opt t.sessions id with
+          match Session_server.find t.sessions id with
           | Some s ->
-              s.pending <- List.rev_append actions s.pending;
-              s.pending_len <- s.pending_len + List.length actions
+              s.state.pending <- List.rev_append actions s.state.pending;
+              s.state.pending_len <- s.state.pending_len + List.length actions
           | None -> ())
       | 3 -> (
           let id = Der.read_integer inner in
           let csn = Csn.of_int (Der.read_integer inner) in
           let clear = Der.read_boolean inner in
-          match Hashtbl.find_opt t.sessions id with
+          match Session_server.find t.sessions id with
           | Some s ->
               s.synced_csn <- csn;
               if clear then begin
-                s.pending <- [];
-                s.pending_len <- 0
+                s.state.pending <- [];
+                s.state.pending_len <- 0
               end
           | None -> ())
       | 4 ->
@@ -907,29 +709,15 @@ let recover ?strategy ?dispatch backend store =
   (match snap with
   | None -> ()
   | Some (_, next_id, clock, sessions, tombstones) ->
-      t.next_id <- next_id;
-      t.clock <- clock;
+      Session_server.restore t.sessions ~next_id ~clock;
       List.iter
         (fun (id, query, pending_oldest, synced, last_active) ->
-          let session =
-            {
-              id;
-              query;
-              matcher = Content.matcher (Backend.schema backend) query;
-              pending = List.rev pending_oldest;
-              pending_len = List.length pending_oldest;
-              synced_csn = synced;
-              persist_push = None;
-              outq = Queue.create ();
-              outq_len = 0;
-              last_active;
-            }
+          let s =
+            Session_server.add t.sessions ~id query ~csn:synced ~last_active
+              (fresh_state ())
           in
-          Hashtbl.replace t.sessions id session;
-          Option.iter
-            (fun idx ->
-              Ldap_containment.Predicate_index.add idx id query.Query.filter)
-            t.dispatch)
+          s.state.pending <- List.rev pending_oldest;
+          s.state.pending_len <- List.length pending_oldest)
         sessions;
       t.tombstones <- tombstones);
   let* () =
@@ -946,19 +734,19 @@ let recover ?strategy ?dispatch backend store =
 (* Per-session history residency: (total buffered actions, largest
    single session's buffer) — what the scale report shows operators. *)
 let pending_stats t =
-  Hashtbl.fold
-    (fun _ s (total, biggest) ->
-      (total + s.pending_len, max biggest s.pending_len))
+  Session_server.fold
+    (fun s (total, biggest) ->
+      (total + s.state.pending_len, max biggest s.state.pending_len))
     t.sessions (0, 0)
 
 let history_size t =
   match t.strategy with
   | Session_history ->
-      Hashtbl.fold (fun _ s acc -> acc + List.length s.pending) t.sessions 0
+      Session_server.fold (fun s acc -> acc + List.length s.state.pending) t.sessions 0
   | Changelog ->
       let oldest =
-        Hashtbl.fold
-          (fun _ s acc -> min acc (Csn.to_int s.synced_csn))
+        Session_server.fold
+          (fun s acc -> min acc (Csn.to_int s.synced_csn))
           t.sessions (Csn.to_int (Backend.csn t.backend))
       in
       List.length (Backend.log_since t.backend (Csn.of_int oldest))

@@ -42,19 +42,9 @@ open Ldap
 
 type strategy = Session_history | Changelog | Tombstone
 
-type dispatch =
-  | Routed
-      (** Committed updates are routed through a
-          {!Ldap_containment.Predicate_index} built over the live
-          sessions' filters: only the sessions whose filter anchors are
-          hit by the update's before/after images are classified, plus
-          a fallback set for unanchorable filters.  Per-update cost is
-          proportional to the affected sessions, not the session count.
-          Observably equivalent to [Naive]. *)
-  | Naive
-      (** Every committed update is classified against every live
-          session — the baseline linear fan-out, kept for comparison
-          and for the equivalence tests. *)
+type dispatch = Session_server.dispatch = Routed | Naive
+(** Predicate-indexed or linear update fan-out over the sessions; see
+    {!Session_server.dispatch}. *)
 
 type t
 
@@ -94,10 +84,11 @@ val handle :
   Protocol.request ->
   Query.t ->
   (Protocol.reply, string) result
-(** Processes a resync search request.  [push] must be supplied for
-    [Persist] mode and receives subsequent change notifications; wrap
-    a bare function with {!Protocol.push_of_fn} when flow control is
-    not modelled.  [Poll] and [Persist] replies carry a cookie — a
+(** Processes a resync search request through the {!Session_server}
+    state machine, with the backend and history strategy as its
+    content source.  [push] must be supplied for [Persist] mode and
+    receives subsequent change notifications; wrap a bare function
+    with {!Protocol.push_of_fn} when flow control is not modelled.  [Poll] and [Persist] replies carry a cookie — a
     resume handle for polls, a reconnection handle for persistent
     sessions whose connection breaks.  [Sync_end] with a valid cookie
     terminates the session and returns an empty reply.
@@ -183,9 +174,6 @@ val pending_stats : t -> int * int
 (** Per-session history residency as (total buffered actions, largest
     single session's buffer) — what the scale report shows operators
     watching for a slow consumer pinning master memory. *)
-
-val parse_cookie : string -> (int * Csn.t) option
-(** Exposed for tests: session id and CSN embedded in a cookie. *)
 
 (** {1 Durability}
 

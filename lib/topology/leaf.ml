@@ -54,12 +54,9 @@ let acked_csn t =
       match R.Filter_replica.consumer_for t.replica q with
       | None -> Csn.zero
       | Some c -> (
-          match Resync.Consumer.cookie c with
-          | None -> Csn.zero
-          | Some cookie -> (
-              match Resync.Protocol.parse_cookie cookie with
-              | Some (_, csn) -> if Csn.( < ) csn acc then csn else acc
-              | None -> Csn.zero)))
+          match Resync.Consumer.acked_csn c with
+          | Some csn -> if Csn.( < ) csn acc then csn else acc
+          | None -> Csn.zero))
     (Csn.of_int max_int) (subscriptions t)
   |> fun m -> if Csn.equal m (Csn.of_int max_int) then Csn.zero else m
 

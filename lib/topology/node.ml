@@ -1,7 +1,8 @@
 open Ldap
-module C = Ldap_containment
 module Resync = Ldap_resync
 module R = Ldap_replication
+
+module Session_server = Resync.Session_server
 
 (* A downstream session tracks what it has sent as a cursor over the
    stored consumer's content-store change spine plus a table of sent
@@ -10,37 +11,24 @@ module R = Ldap_replication
    table arbitrates Add vs Modify vs no-op per changed DN and costs
    one DN string and a hash per member instead of the entries
    themselves. *)
-type session = {
-  id : int;
-  query : Query.t;
-  matcher : Resync.Content.matcher;  (* query compiled once per session *)
+type state = {
   stored : Query.t;  (* the node's stored query this session is served from *)
   mutable seen : (string, Dn.t * int64) Hashtbl.t;
       (* canonical DN -> (DN, content hash of the sent selected image) *)
   mutable spine_pos : int;  (* store revision this session has consumed *)
-  mutable synced_csn : Csn.t;
-  mutable persist_push : Resync.Protocol.push_channel option;
 }
+
+type session = state Session_server.session
 
 type t = {
   replica : R.Filter_replica.t;
   host : string;
-  sessions : (int, session) Hashtbl.t;
-  persist : (int, session) Hashtbl.t;
-  dispatch : C.Predicate_index.t option;  (* [Routed] only *)
-  mutable next_id : int;
-  mutable clock : int;
+  sessions : state Session_server.table;
   (* Serving cost counters, the O(diff) evidence the scale sweep
      gates on. *)
   mutable inc_polls : int;  (* incremental polls served *)
   mutable inc_scanned : int;  (* DNs/entries examined serving them *)
   mutable inc_rescans : int;  (* cursor fell off the spine: full diff *)
-  mutable serve_seconds : float;  (* wall clock inside [handle] *)
-  mutable serve_samples : float list;  (* per-serve wall seconds, newest first *)
-  mutable incr_serve_samples : float list;
-      (* serve_samples restricted to incremental replies — the
-         O(diff)-cost population, free of O(selection) initial and
-         degraded transfers *)
 }
 
 let replica t = t.replica
@@ -48,8 +36,8 @@ let host t = t.host
 let upstream t = R.Filter_replica.master_host t.replica
 let schema t = R.Filter_replica.schema t.replica
 let stats t = R.Filter_replica.stats t.replica
-let session_count t = Hashtbl.length t.sessions
-let persistent_count t = Hashtbl.length t.persist
+let session_count t = Session_server.count t.sessions
+let persistent_count t = Session_server.persistent_count t.sessions
 
 (* --- Referral envelope ----------------------------------------------
    A subscription the node cannot prove contained is rejected with the
@@ -66,18 +54,7 @@ let referral_of_error msg =
     Some (String.sub msg n (String.length msg - n))
   else None
 
-(* --- Session plumbing (mirrors Master) ------------------------------ *)
-
-let set_persist t session push =
-  session.persist_push <- push;
-  match push with
-  | Some _ -> Hashtbl.replace t.persist session.id session
-  | None -> Hashtbl.remove t.persist session.id
-
-let remove_session t id =
-  Hashtbl.remove t.sessions id;
-  Hashtbl.remove t.persist id;
-  Option.iter (fun idx -> C.Predicate_index.remove idx id) t.dispatch
+(* --- Content source --------------------------------------------------- *)
 
 let store_for t stored =
   Option.map Resync.Consumer.content
@@ -86,92 +63,31 @@ let store_for t stored =
 let store_rev t stored =
   match store_for t stored with Some st -> Content_store.rev st | None -> 0
 
-let new_session t query ~stored ~persist_push ~csn =
-  (* Id 0 is the reserved foreign-session marker (reparent translation):
-     an intermediate master must never hand it out either. *)
-  if t.next_id = 0 then t.next_id <- 1;
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  let session =
-    {
-      id;
-      query;
-      matcher = Resync.Content.matcher (schema t) query;
-      stored;
-      seen = Hashtbl.create 64;
-      spine_pos = store_rev t stored;
-      synced_csn = csn;
-      persist_push = None;
-    }
-  in
-  Hashtbl.replace t.sessions id session;
-  set_persist t session persist_push;
-  Option.iter
-    (fun idx -> C.Predicate_index.add idx id query.Query.filter)
-    t.dispatch;
-  session
-
 (* The node's own synchronization point for a stored query: the CSN of
    the cookie its upstream consumer holds.  All CSNs originate at the
    root backend, so this is directly comparable to whatever any
    downstream cookie carries. *)
 let node_csn t stored =
   match R.Filter_replica.consumer_for t.replica stored with
-  | Some c -> (
-      match Resync.Consumer.cookie c with
-      | Some ck -> (
-          match Resync.Protocol.parse_cookie ck with
-          | Some (_, csn) -> csn
-          | None -> Csn.zero)
-      | None -> Csn.zero)
+  | Some c -> Option.value ~default:Csn.zero (Resync.Consumer.acked_csn c)
   | None -> Csn.zero
 
-let current_content t session =
-  match R.Filter_replica.consumer_for t.replica session.stored with
+let stored_content t stored query =
+  match R.Filter_replica.consumer_for t.replica stored with
   | Some c ->
-      R.Replica.eval_over_entries (schema t) session.query
-        (Resync.Consumer.entries_seq c)
+      R.Replica.eval_over_entries (schema t) query (Resync.Consumer.entries_seq c)
   | None -> []
-
-let select_action (q : Query.t) = function
-  | Resync.Action.Add e ->
-      Resync.Action.Add (Entry.select e (Query.attr_list q.Query.attrs))
-  | Resync.Action.Modify e ->
-      Resync.Action.Modify (Entry.select e (Query.attr_list q.Query.attrs))
-  | (Resync.Action.Delete _ | Resync.Action.Retain _) as a -> a
 
 (* Entries are already selected when hashed, so the hash identifies
    the image as sent downstream, not the stored one. *)
-let note_sent session e =
-  Hashtbl.replace session.seen
+let note_sent (session : session) e =
+  Hashtbl.replace session.state.seen
     (Dn.canonical (Entry.dn e))
     (Entry.dn e, Entry.content_hash64 e)
 
-let reset_seen session entries =
-  session.seen <- Hashtbl.create (max 64 (2 * List.length entries));
+let reset_seen (session : session) entries =
+  session.state.seen <- Hashtbl.create (max 64 (2 * List.length entries));
   List.iter (note_sent session) entries
-
-(* --- Replies -------------------------------------------------------- *)
-
-let session_cookie session ~mode =
-  match mode with
-  | Resync.Protocol.Poll | Resync.Protocol.Persist ->
-      Some (Resync.Protocol.cookie_of ~id:session.id ~csn:session.synced_csn)
-  | Resync.Protocol.Sync_end -> None
-
-let initial_reply t session ~mode =
-  (* The cursor position is pinned before the content is read: changes
-     racing the read are re-examined on the next poll instead of
-     falling between snapshot and cursor. *)
-  session.spine_pos <- store_rev t session.stored;
-  let entries = current_content t session in
-  reset_seen session entries;
-  session.synced_csn <- node_csn t session.stored;
-  {
-    Resync.Protocol.kind = Resync.Protocol.Initial_content;
-    actions = List.map (fun e -> Resync.Action.Add e) entries;
-    cookie = session_cookie session ~mode;
-  }
 
 (* Incremental replies stream the stored consumer's change spine from
    the session's cursor: only the DNs mutated since its last poll are
@@ -181,9 +97,10 @@ let initial_reply t session ~mode =
    history.  A cursor that fell off the trimmed spine rebuilds by one
    full diff against the hash table and resumes streaming.  Deletes
    first, like the master's coalescer. *)
-let incremental_from_spine t session changed =
+let incremental_from_spine t (session : session) changed =
   let select = Query.attr_list session.query.Query.attrs in
-  let st = store_for t session.stored in
+  let st = store_for t session.state.stored in
+  let seen = session.state.seen in
   let deletes = ref [] and upserts = ref [] in
   List.iter
     (fun dn ->
@@ -198,7 +115,7 @@ let incremental_from_spine t session changed =
             | Some _ | None -> None)
         | None -> None
       in
-      match (now, Hashtbl.find_opt session.seen key) with
+      match (now, Hashtbl.find_opt seen key) with
       | Some img, Some (_, h0) ->
           if not (Int64.equal (Entry.content_hash64 img) h0) then begin
             note_sent session img;
@@ -208,15 +125,15 @@ let incremental_from_spine t session changed =
           note_sent session img;
           upserts := Resync.Action.Add img :: !upserts
       | None, Some (dn0, _) ->
-          Hashtbl.remove session.seen key;
+          Hashtbl.remove seen key;
           deletes := Resync.Action.Delete dn0 :: !deletes
       | None, None -> ())
     changed;
   List.rev !deletes @ List.rev !upserts
 
-let incremental_by_rescan t session =
+let incremental_by_rescan t (session : session) =
   t.inc_rescans <- t.inc_rescans + 1;
-  let current = current_content t session in
+  let current = stored_content t session.state.stored session.query in
   let fresh = Hashtbl.create (max 64 (2 * List.length current)) in
   let upserts =
     List.filter_map
@@ -225,7 +142,7 @@ let incremental_by_rescan t session =
         let key = Dn.canonical (Entry.dn e) in
         let h = Entry.content_hash64 e in
         let action =
-          match Hashtbl.find_opt session.seen key with
+          match Hashtbl.find_opt session.state.seen key with
           | Some (_, h0) when Int64.equal h h0 -> None
           | Some _ -> Some (Resync.Action.Modify e)
           | None -> Some (Resync.Action.Add e)
@@ -239,183 +156,70 @@ let incremental_by_rescan t session =
       (fun key (dn, _) acc ->
         t.inc_scanned <- t.inc_scanned + 1;
         if Hashtbl.mem fresh key then acc else Resync.Action.Delete dn :: acc)
-      session.seen []
+      session.state.seen []
   in
-  session.seen <- fresh;
+  session.state.seen <- fresh;
   deletes @ upserts
 
-let incremental_reply t session ~mode =
+let incremental_actions t (session : session) =
   t.inc_polls <- t.inc_polls + 1;
-  let pos = session.spine_pos in
-  session.spine_pos <- store_rev t session.stored;
+  let stored = session.state.stored in
+  let pos = session.state.spine_pos in
+  session.state.spine_pos <- store_rev t stored;
   let actions =
-    match store_for t session.stored with
+    match store_for t stored with
     | None -> incremental_by_rescan t session
     | Some st -> (
         match Content_store.changes_since st pos with
         | Some changed -> incremental_from_spine t session changed
         | None -> incremental_by_rescan t session)
   in
-  session.synced_csn <- node_csn t session.stored;
-  {
-    Resync.Protocol.kind = Resync.Protocol.Incremental;
-    actions;
-    cookie = session_cookie session ~mode;
-  }
+  (Resync.Protocol.Incremental, actions)
 
-(* Degraded mode, eq. (3), against replica content: full entries for
-   members changed since the cookie's CSN (or lacking a usable
-   modifyTimestamp — conservatively treated as changed), [retain] for
-   the rest; the downstream prunes everything not mentioned. *)
-let degraded_reply t query ~stored ~since ~mode ~persist_push =
-  let session =
-    new_session t query ~stored ~persist_push ~csn:(node_csn t stored)
-  in
-  session.spine_pos <- store_rev t stored;
-  let members = current_content t session in
-  let actions =
-    List.map
-      (fun e ->
-        let changed =
-          match Entry.get e "modifytimestamp" with
-          | [ ts ] -> (
-              match int_of_string_opt ts with
-              | Some c -> Csn.( < ) since (Csn.of_int c)
-              | None -> true)
-          | _ -> true
-        in
-        if changed then Resync.Action.Add e
-        else Resync.Action.Retain (Entry.dn e))
-      members
-  in
-  reset_seen session members;
-  session.synced_csn <- node_csn t stored;
-  {
-    Resync.Protocol.kind = Resync.Protocol.Degraded;
-    actions;
-    cookie = session_cookie session ~mode;
-  }
+(* A downstream subscription is admitted iff it is provably contained
+   in a stored query; otherwise the subscriber is referred to this
+   node's own upstream.  A session's cursor is pinned when it opens,
+   before its content is read: changes racing the read are re-examined
+   on the next poll instead of falling between snapshot and cursor. *)
+module Srv = Session_server.Make (struct
+  type nonrec t = t
+  type nonrec state = state
+  type admit = Query.t
+
+  let table t = t.sessions
+
+  let admit t query =
+    match R.Filter_replica.containing_consumer t.replica query with
+    | Some (stored, _) -> Ok stored
+    | None -> Error (referral_error (Referral.make ~host:(upstream t) ()))
+
+  let start t stored ~id:_ _ =
+    ({ stored; seen = Hashtbl.create 64; spine_pos = store_rev t stored }, node_csn t stored)
+
+  let stop _ _ = ()
+  let content = stored_content
+  let sent _ session entries = reset_seen session (Lazy.force entries)
+  let incremental = incremental_actions
+
+  let advance t (session : session) ~incremental:_ =
+    session.synced_csn <- node_csn t session.state.stored
+end)
 
 (* --- Serving -------------------------------------------------------- *)
 
-let handle_inner t ?push (request : Resync.Protocol.request) query =
-  t.clock <- t.clock + 1;
-  let mode = request.Resync.Protocol.mode in
-  match mode with
-  | Resync.Protocol.Sync_end -> (
-      match request.cookie with
-      | None -> Error "sync_end requires a cookie"
-      | Some c -> (
-          match Resync.Protocol.parse_cookie c with
-          | None -> Error "malformed cookie"
-          | Some (id, _) ->
-              remove_session t id;
-              Ok
-                {
-                  Resync.Protocol.kind = Resync.Protocol.Incremental;
-                  actions = [];
-                  cookie = None;
-                }))
-  | Resync.Protocol.Poll | Resync.Protocol.Persist -> (
-      if mode = Resync.Protocol.Persist && Option.is_none push then
-        Error "persist mode requires a push channel"
-      else
-        match R.Filter_replica.containing_consumer t.replica query with
-        | None ->
-            (* Not provably contained in any stored query: refer the
-               subscriber to this node's own upstream. *)
-            Error (referral_error (Referral.make ~host:(upstream t) ()))
-        | Some (stored, _) -> (
-            let persist_push =
-              if mode = Resync.Protocol.Persist then push else None
-            in
-            let reply =
-              match request.cookie with
-              | None ->
-                  let session =
-                    new_session t query ~stored ~persist_push
-                      ~csn:(node_csn t stored)
-                  in
-                  Ok (initial_reply t session ~mode)
-              | Some c -> (
-                  match Resync.Protocol.parse_cookie c with
-                  | None -> Error "malformed cookie"
-                  | Some (id, csn) -> (
-                      match Hashtbl.find_opt t.sessions id with
-                      | Some session
-                        when Query.equal session.query query
-                             && Csn.equal csn session.synced_csn ->
-                          set_persist t session persist_push;
-                          Ok (incremental_reply t session ~mode)
-                      | Some session when Query.equal session.query query ->
-                          (* The downstream acknowledges a CSN other
-                             than the one this session advanced to: a
-                             reply or pushed action was lost.  The
-                             sent-image table reflects sent-not-received
-                             state, so diffing against it would silently
-                             diverge — resynchronize degraded from the
-                             CSN the downstream actually holds. *)
-                          remove_session t session.id;
-                          Ok
-                            (degraded_reply t query ~stored ~since:csn ~mode
-                               ~persist_push)
-                      | Some _ | None ->
-                          (* Unknown session — including the reserved
-                             foreign-session id 0 installed by cookie
-                             translation when a consumer was
-                             re-parented here: degraded mode from the
-                             cookie's CSN. *)
-                          Ok
-                            (degraded_reply t query ~stored ~since:csn ~mode
-                               ~persist_push)))
-            in
-            Result.iter (R.Stats.record_served_reply (stats t)) reply;
-            reply))
-
 let handle t ?push request query =
-  let t0 = Sys.time () in
-  let reply = handle_inner t ?push request query in
-  let dt = Sys.time () -. t0 in
-  t.serve_seconds <- t.serve_seconds +. dt;
-  t.serve_samples <- dt :: t.serve_samples;
-  (match reply with
-  | Ok r when r.Resync.Protocol.kind = Resync.Protocol.Incremental ->
-      t.incr_serve_samples <- dt :: t.incr_serve_samples
-  | Ok _ | Error _ -> ());
+  let reply = Srv.handle t ?push request query in
+  (* Served traffic counts poll and persist replies; a sync_end
+     acknowledgement carries no content. *)
+  if request.Resync.Protocol.mode <> Resync.Protocol.Sync_end then
+    Result.iter (R.Stats.record_served_reply (stats t)) reply;
   reply
 
-let abandon t ~cookie =
-  match Resync.Protocol.parse_cookie cookie with
-  | Some (id, _) -> remove_session t id
-  | None -> ()
+let abandon = Srv.abandon
 
-(* An intermediate master answers Merkle walk steps from its own
-   replica content, so anti-entropy cascades tier-by-tier: a leaf
-   repairs against its node while the node independently repairs
-   against its parent.  Same containment check and referral escape as
-   [handle]; a [Fetch] mints a session whose sent-image table is the
-   content being shipped, so the repaired downstream resumes
-   incrementally. *)
-let antientropy_serve t request query =
-  match R.Filter_replica.containing_consumer t.replica query with
-  | None -> Error (referral_error (Referral.make ~host:(upstream t) ()))
-  | Some (stored, c) ->
-      let content () =
-        List.to_seq
-          (R.Replica.eval_over_entries (schema t) query
-             (Resync.Consumer.entries_seq c))
-      in
-      Ok
-        (Ldap_antientropy.Exchange.serve ~content
-           ~cookie:(fun () ->
-             let session =
-               new_session t query ~stored ~persist_push:None
-                 ~csn:(node_csn t stored)
-             in
-             session.spine_pos <- store_rev t stored;
-             reset_seen session (List.of_seq (content ()));
-             session_cookie session ~mode:Resync.Protocol.Poll)
-           request)
+(* Anti-entropy cascades tier-by-tier: a leaf repairs against its node
+   while the node independently repairs against its parent. *)
+let antientropy_serve = Srv.antientropy_serve
 
 let estimate t query =
   match R.Filter_replica.containing_consumer t.replica query with
@@ -436,31 +240,15 @@ let estimate t query =
    spine recorded (other stored queries advance independently — their
    own consumers define their synchronization point). *)
 let relay t ~stored ~before ~after =
-  if Hashtbl.length t.persist > 0 then begin
+  if Session_server.persistent_count t.sessions > 0 then begin
     let csn = node_csn t stored in
     let rev = store_rev t stored in
-    let candidates =
-      Option.map
-        (fun idx -> C.Predicate_index.affected idx ~before ~after)
-        t.dispatch
-    in
+    let affected = Session_server.affected t.sessions ~before ~after in
     let dead = ref [] in
-    Hashtbl.iter
-      (fun id session ->
-        if Query.equal session.stored stored then begin
-          let candidate =
-            match candidates with
-            | None -> true
-            | Some c -> C.Predicate_index.mem c id
-          in
-          (if candidate then
-             let transition =
-               Resync.Content.classify_m session.matcher ~before ~after
-             in
-             let actions =
-               List.map (select_action session.query)
-                 (Resync.Content.actions_of_transition transition)
-             in
+    Session_server.iter_persist
+      (fun (session : session) ->
+        if Query.equal session.state.stored stored then begin
+          (if Session_server.is_affected affected session.id then
              let alive = ref true in
              List.iter
                (fun a ->
@@ -468,9 +256,9 @@ let relay t ~stored ~before ~after =
                  | Resync.Action.Add e | Resync.Action.Modify e ->
                      note_sent session e
                  | Resync.Action.Delete dn ->
-                     Hashtbl.remove session.seen (Dn.canonical dn)
+                     Hashtbl.remove session.state.seen (Dn.canonical dn)
                  | Resync.Action.Retain _ -> ());
-                 (match session.persist_push with
+                 (match session.push with
                  | Some ch when !alive -> (
                      match ch.Resync.Protocol.pc_send a with
                      | Resync.Protocol.Push_ok -> ()
@@ -482,31 +270,28 @@ let relay t ~stored ~before ~after =
                             buffering lives at the root master. *)
                          alive := false;
                          ch.Resync.Protocol.pc_close ();
-                         dead := id :: !dead)
+                         dead := session.id :: !dead)
                  | Some _ | None -> ());
                  R.Stats.record_served_push (stats t) a)
-               actions);
+               (Session_server.actions_for session ~before ~after));
           session.synced_csn <- csn;
-          session.spine_pos <- rev
+          session.state.spine_pos <- rev
         end)
-      t.persist;
-    List.iter (remove_session t) !dead
+      t.sessions;
+    List.iter (Srv.remove t) !dead
   end
 
 (* --- Scale reporting ------------------------------------------------- *)
 
 let cursor_stats t = (t.inc_polls, t.inc_scanned, t.inc_rescans)
-let serve_seconds t = t.serve_seconds
-let serve_samples t = t.serve_samples
-let incremental_serve_samples t = t.incr_serve_samples
 
 let cursor_depths t =
-  Hashtbl.fold
-    (fun _ s acc -> (store_rev t s.stored - s.spine_pos) :: acc)
+  Session_server.fold
+    (fun (s : session) acc -> (store_rev t s.state.stored - s.state.spine_pos) :: acc)
     t.sessions []
 
 let seen_residency t =
-  Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s.seen) t.sessions 0
+  Session_server.fold (fun (s : session) acc -> acc + Hashtbl.length s.state.seen) t.sessions 0
 
 (* --- Construction --------------------------------------------------- *)
 
@@ -529,21 +314,10 @@ let create ?(cache_capacity = 0) ?(dispatch = Resync.Master.Routed) transport
     {
       replica;
       host;
-      sessions = Hashtbl.create 16;
-      persist = Hashtbl.create 16;
-      dispatch =
-        (match dispatch with
-        | Resync.Master.Routed ->
-            Some (C.Predicate_index.create (R.Filter_replica.schema replica))
-        | Resync.Master.Naive -> None);
-      next_id = 1;
-      clock = 0;
+      sessions = Session_server.create (R.Filter_replica.schema replica) dispatch;
       inc_polls = 0;
       inc_scanned = 0;
       inc_rescans = 0;
-      serve_seconds = 0.0;
-      serve_samples = [];
-      incr_serve_samples = [];
     }
   in
   R.Filter_replica.set_on_change replica (fun ~stored ~before ~after ->

@@ -91,9 +91,11 @@ val handle :
   Ldap_resync.Protocol.request ->
   Query.t ->
   (Ldap_resync.Protocol.reply, string) result
-(** Serves one downstream resync exchange, mirroring
-    {!Ldap_resync.Master.handle}.  A non-admitted subscription fails
-    with a referral error (see {!referral_of_error}). *)
+(** Serves one downstream resync exchange through the
+    {!Ldap_resync.Session_server} state machine the root master runs
+    too, with the node's replica content as the source.  A
+    non-admitted subscription fails with a referral error (see
+    {!referral_of_error}). *)
 
 val abandon : t -> cookie:string -> unit
 
@@ -125,19 +127,6 @@ val cursor_stats : t -> int * int * int
     the scale sweep's O(diff) evidence: scanned stays proportional to
     the change volume, not the directory size, and rescans stay 0
     while cursors keep up with the spine. *)
-
-val serve_seconds : t -> float
-(** Total wall-clock seconds spent inside {!handle}. *)
-
-val serve_samples : t -> float list
-(** Per-serve wall-clock seconds, newest first — the sample set the
-    bench harness computes poll-response percentiles from. *)
-
-val incremental_serve_samples : t -> float list
-(** {!serve_samples} restricted to serves that answered with an
-    incremental reply — the O(diff)-cost population the scale sweep
-    gates on, excluding initial-content and degraded transfers whose
-    cost is legitimately O(selection). *)
 
 val cursor_depths : t -> int list
 (** Per-session lag behind the stored consumer's change spine, in

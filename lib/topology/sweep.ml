@@ -1188,6 +1188,29 @@ let run_scale_at cfg ~employees =
     | Ok _ -> ()
     | Error e -> failwith ("scale: add_node: " ^ e)
   done;
+  (* Every node serve is timed at its transport endpoint, keeping all
+     replies and the incremental ones apart. *)
+  let serve_samples = ref [] and incr_serve_samples = ref [] in
+  let transport = Topology.transport t in
+  List.iter
+    (fun n ->
+      match Resync.Transport.endpoint transport (Node.host n) with
+      | None -> ()
+      | Some ep ->
+          let handle ~push req q =
+            let t0 = Sys.time () in
+            let reply = ep.Resync.Transport.ep_handle ~push req q in
+            let dt = Sys.time () -. t0 in
+            serve_samples := dt :: !serve_samples;
+            (match reply with
+            | Ok { Resync.Protocol.kind = Resync.Protocol.Incremental; _ } ->
+                incr_serve_samples := dt :: !incr_serve_samples
+            | Ok _ | Error _ -> ());
+            reply
+          in
+          Resync.Transport.add_endpoint transport ~name:(Node.host n)
+            { ep with Resync.Transport.ep_handle = handle })
+    (Topology.nodes t);
   (* Leaves join in batches; after each batch the heap is compacted and
      sampled, so the growth of live words with consumer count is
      measured inside one topology (replicas share interned entries —
@@ -1369,16 +1392,16 @@ let run_scale_at cfg ~employees =
         (a + p, b + s, c + r))
       (0, 0, 0) (Topology.nodes t)
   in
-  let sorted_samples of_node =
-    let arr = Array.of_list (List.concat_map of_node (Topology.nodes t)) in
+  let sorted_samples samples =
+    let arr = Array.of_list samples in
     Array.sort compare arr;
     arr
   in
   (* Gate serve cost on the incremental population only: initial and
      degraded transfers are O(selection) by design and would otherwise
      drown the O(diff) claim at full directory size. *)
-  let serve_sorted = sorted_samples Node.incremental_serve_samples in
-  let serve_all_sorted = sorted_samples Node.serve_samples in
+  let serve_sorted = sorted_samples !incr_serve_samples in
+  let serve_all_sorted = sorted_samples !serve_samples in
   let pending_total, pending_max =
     Resync.Master.pending_stats (Topology.master t)
   in

@@ -279,7 +279,7 @@ let prop_recovered_equals_live =
       let csn_of c =
         match c with
         | None -> None
-        | Some cookie -> Option.map snd (Master.parse_cookie cookie)
+        | Some cookie -> Option.map snd (Protocol.parse_cookie cookie)
       in
       let a = canon (Consumer.entries recovered) in
       let b = canon (Consumer.entries live) in

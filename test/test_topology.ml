@@ -651,6 +651,87 @@ let test_history_hwm_bounds_master () =
   check_bool "fast consumer stayed incremental" true
     ((sync fast).Protocol.kind = Protocol.Incremental)
 
+(* --- One session contract at every serving tier ---------------------- *)
+
+(* The same request script against the root master and an intermediate
+   node, both reached as transport endpoints.  Each row names a request,
+   the reply kind or error it must get, and how many sessions the
+   endpoint holds afterwards (over what it held before the script). *)
+let session_script t ~host ~session_count ~extra_rows =
+  let ep =
+    match Transport.endpoint (T.Topology.transport t) host with
+    | Some ep -> ep
+    | None -> Alcotest.fail ("no endpoint " ^ host)
+  in
+  let base = session_count () in
+  let cookies = Hashtbl.create 8 in
+  let cookie row = Hashtbl.find cookies row in
+  let parsed row = Option.get (Protocol.parse_cookie (cookie row)) in
+  let send ?(q = dept_query 7) mode cookie () =
+    match ep.Transport.ep_handle ~push:None { Protocol.mode; cookie } q with
+    | Ok { Protocol.kind = Protocol.Initial_content; _ } as r -> ("initial", r)
+    | Ok { Protocol.kind = Protocol.Incremental; _ } as r -> ("incremental", r)
+    | Ok { Protocol.kind = Protocol.Degraded; _ } as r -> ("degraded", r)
+    | Error e as r ->
+        ((if Option.is_some (T.Node.referral_of_error e) then "referral" else e), r)
+  in
+  let poll c = send Protocol.Poll (Some c) in
+  let rows =
+    [
+      ("no cookie", send Protocol.Poll None, "initial", 1);
+      ("current cookie", (fun () -> poll (cookie "no cookie") ()), "incremental", 1);
+      ( "same query, stale CSN",
+        (fun () ->
+          check_bool "session advanced past zero" true
+            (Csn.( < ) Csn.zero (snd (parsed "current cookie")));
+          poll (Protocol.cookie_of ~id:(fst (parsed "current cookie")) ~csn:Csn.zero) ()),
+        "degraded",
+        1 );
+      ("stale session was dropped", (fun () -> poll (cookie "current cookie") ()), "degraded", 2);
+      ( "unknown id",
+        (fun () -> poll (Protocol.cookie_of ~id:999 ~csn:(snd (parsed "no cookie"))) ()),
+        "degraded",
+        3 );
+      ( "reparented id 0",
+        (fun () -> poll (Option.get (Protocol.reparent_cookie (cookie "unknown id"))) ()),
+        "degraded",
+        4 );
+      ("malformed cookie", poll "rs:bogus", "malformed cookie", 4);
+      ("sync_end without cookie", send Protocol.Sync_end None, "sync_end requires a cookie", 4);
+      ( "sync_end",
+        (fun () -> send Protocol.Sync_end (Some (cookie "reparented id 0")) ()),
+        "incremental",
+        3 );
+      ("persist without channel", send Protocol.Persist None, "persist mode requires a push channel", 3);
+      ( "abandon",
+        (fun () ->
+          ep.Transport.ep_abandon ~cookie:(cookie "unknown id");
+          ("abandoned", Error "")),
+        "abandoned",
+        2 );
+    ]
+    @ extra_rows send
+  in
+  List.iter
+    (fun (row, request, expected, sessions) ->
+      let outcome, reply = request () in
+      (match reply with
+      | Ok { Protocol.cookie = Some c; _ } -> Hashtbl.replace cookies row c
+      | Ok _ | Error _ -> ());
+      Alcotest.(check string) (host ^ ": " ^ row) expected outcome;
+      check_int (host ^ ": " ^ row ^ " sessions") (base + sessions) (session_count ()))
+    rows
+
+let test_session_contract_master_and_node () =
+  let _, t, node = node_fixture () in
+  session_script t ~host:(T.Topology.root t)
+    ~session_count:(fun () -> Master.session_count (T.Topology.master t))
+    ~extra_rows:(fun _ -> []);
+  session_script t ~host:(T.Node.host node)
+    ~session_count:(fun () -> T.Node.session_count node)
+    ~extra_rows:(fun send ->
+      [ ("uncontained query", send ~q:(dept_query 8) Protocol.Poll None, "referral", 2) ])
+
 let suite =
   [
     Alcotest.test_case "tree matches star (1000 leaves)" `Slow test_tree_matches_star;
@@ -669,6 +750,8 @@ let suite =
       test_kill_node_reparents_and_converges;
     Alcotest.test_case "history high-water mark bounds master" `Quick
       test_history_hwm_bounds_master;
+    Alcotest.test_case "session contract: master and node" `Quick
+      test_session_contract_master_and_node;
     QCheck_alcotest.to_alcotest chain_equivalence_test;
     QCheck_alcotest.to_alcotest streaming_materialized_test;
   ]
