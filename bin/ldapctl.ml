@@ -579,7 +579,7 @@ let antientropy_cmd =
         let backend = Dirgen.Enterprise.backend ent in
         let master = Resync.Master.create backend in
         let transport = Resync.Transport.loopback master in
-        let consumer = Resync.Consumer.create schema query in
+        let consumer = Resync.Consumer.create query in
         (match
            Resync.Consumer.sync_over consumer transport
              ~host:Resync.Transport.loopback_host
@@ -766,7 +766,7 @@ let shard_cmd =
            (Printf.sprintf "(serialnumber=%s*)"
               (Dirgen.Enterprise.serial_block ent 0)))
     in
-    let consumer = Resync.Consumer.create schema q in
+    let consumer = Resync.Consumer.create q in
     (match
        Resync.Consumer.sync_over consumer transport
          ~host:(Shard.Router.host router)

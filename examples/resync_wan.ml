@@ -52,7 +52,7 @@ let () =
   let query =
     Query.make ~base:(dn "o=hq") (Filter.of_string_exn "(departmentNumber=sales)")
   in
-  let consumer = Resync.Consumer.create schema query in
+  let consumer = Resync.Consumer.create query in
 
   (* Phase 1: initial content. *)
   show_reply "poll #1 (no cookie)" (must (Resync.Consumer.sync consumer master));
@@ -80,6 +80,7 @@ let () =
   apply (Update.add (person "emp8" "sales"));
   apply (Update.delete (dn "cn=emp8,o=hq"));
   apply (Update.add (person "emp9" "sales"));
+  Network.settle (Resync.Transport.network transport);
   Printf.printf "persist phase: %d notifications pushed live\n" !pushed;
   Printf.printf "  branch now holds %d sales entries\n\n" (Resync.Consumer.size consumer);
 

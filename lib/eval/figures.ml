@@ -192,7 +192,7 @@ let figure3 () =
     Query.make ~base:(Dn.of_string_exn "o=xyz")
       (Filter.of_string_exn "(departmentNumber=7)")
   in
-  let consumer = Resync.Consumer.create schema query in
+  let consumer = Resync.Consumer.create query in
   let rows = ref [] in
   let record step reply =
     let actions =
@@ -231,6 +231,7 @@ let figure3 () =
   (match Dn.rdn_of_string "cn=e5" with
   | Ok rdn -> apply (Update.modify_dn (dn "e3") rdn)
   | Error e -> failwith e);
+  Network.settle (Resync.Transport.network transport);
   let pushed = List.rev !pushed in
   rows :=
     [
@@ -781,7 +782,6 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
       ()
   in
   let backend = Dirgen.Enterprise.backend scenario.Scenario.enterprise in
-  let schema = Dirgen.Enterprise.schema scenario.Scenario.enterprise in
   let items =
     Dirgen.Workload.generate scenario.Scenario.enterprise (serial_only 4_000 707)
   in
@@ -800,7 +800,7 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
     List.map
       (fun (name, strategy) ->
         let master = Resync.Master.create ~strategy backend in
-        let consumers = List.map (fun q -> Resync.Consumer.create schema q) queries in
+        let consumers = List.map (fun q -> Resync.Consumer.create q) queries in
         List.iter
           (fun c ->
             match Resync.Consumer.sync c master with
@@ -885,7 +885,6 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
             ()
         in
         let backend = Dirgen.Enterprise.backend scenario.Scenario.enterprise in
-        let schema = Dirgen.Enterprise.schema scenario.Scenario.enterprise in
         let master = scenario.Scenario.master in
         let items =
           Dirgen.Workload.generate scenario.Scenario.enterprise
@@ -909,7 +908,7 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
         and retries = ref 0
         and resyncs = ref 0
         and failed = ref 0 in
-        let consumers = List.map (Resync.Consumer.create schema) queries in
+        let consumers = List.map Resync.Consumer.create queries in
         let poll c =
           incr polls;
           match Resync.Consumer.sync_over c transport ~host:"master" with

@@ -31,7 +31,12 @@ val total_entries : t -> int
 (** Entries held across all naming contexts. *)
 
 val fold_entries : t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
-(** Folds over every entry in flat-mirror (insertion) order. *)
+(** Folds over every entry in DIT order: naming contexts deepest
+    suffix first (equal depths most recently added first), each one
+    pre-order — an entry before its subordinates — with siblings in
+    ascending canonical-RDN order.  [Router.seed_from_backend], which
+    re-adds entries parents first, and [Master]'s tombstone replay
+    consume this order. *)
 
 val entries_seq : t -> Entry.t Seq.t
 (** All entries as a sequence over the backend's flat content mirror

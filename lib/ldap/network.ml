@@ -62,7 +62,7 @@ type t = {
   mutable sync_rpcs : int;
   mutable sync_bytes : int;
   mutable dropped_pdus : int;
-  mutable engine : Ldap_sim.Engine.t option;
+  mutable engine : Ldap_sim.Engine.t;
   links : (string, Ldap_sim.Latency.t) Hashtbl.t;
   mutable default_latency : Ldap_sim.Latency.t;
   mutable rpc_timeout : int option;
@@ -78,14 +78,19 @@ let create () =
     sync_rpcs = 0;
     sync_bytes = 0;
     dropped_pdus = 0;
-    engine = None;
+    engine = Ldap_sim.Engine.create ();
     links = Hashtbl.create 8;
     default_latency = Ldap_sim.Latency.Zero;
     rpc_timeout = None;
   }
 
-let attach_engine t e = t.engine <- Some e
+let attach_engine t e =
+  if e != t.engine && Ldap_sim.Engine.pending t.engine > 0 then
+    invalid_arg "Network.attach_engine: the replaced engine has queued events";
+  t.engine <- e
+
 let engine t = t.engine
+let settle t = Ldap_sim.Engine.run t.engine
 
 let set_link_latency t ~a ~b lat =
   Hashtbl.replace t.links (Faults.link_key a b) lat
@@ -93,9 +98,12 @@ let set_link_latency t ~a ~b lat =
 let set_default_latency t lat = t.default_latency <- lat
 
 let link_latency t ~a ~b =
-  match Hashtbl.find_opt t.links (Faults.link_key a b) with
-  | Some lat -> lat
-  | None -> t.default_latency
+  (* Most networks set no per-link latency: skip building the key. *)
+  if Hashtbl.length t.links = 0 then t.default_latency
+  else
+    match Hashtbl.find_opt t.links (Faults.link_key a b) with
+    | Some lat -> lat
+    | None -> t.default_latency
 
 let set_rpc_timeout t timeout = t.rpc_timeout <- timeout
 
@@ -223,42 +231,9 @@ let search t ~from (q : Query.t) =
 let account_push t ~bytes = t.sync_bytes <- t.sync_bytes + bytes
 let account_dropped t = t.dropped_pdus <- t.dropped_pdus + 1
 
-let rpc_immediate t ?faults ~from ~host ~request_bytes ~reply_bytes serve =
-  t.sync_rpcs <- t.sync_rpcs + 1;
-  let partitioned =
-    match faults with
-    | Some f -> Faults.partitioned f ~a:from ~b:host
-    | None -> false
-  in
-  if partitioned then begin
-    t.dropped_pdus <- t.dropped_pdus + 1;
-    Error (Unreachable host)
-  end
-  else begin
-    t.sync_bytes <- t.sync_bytes + request_bytes;
-    let outcome =
-      match faults with Some f -> Faults.next_outcome f | None -> Faults.Deliver
-    in
-    match outcome with
-    | Faults.Drop_request ->
-        t.dropped_pdus <- t.dropped_pdus + 1;
-        Error Timeout
-    | Faults.Refuse -> Error (Refused "transient refusal")
-    | Faults.Drop_reply ->
-        (* The server processed the request — its side effects stand —
-           but the reply never reaches the client. *)
-        let r = serve () in
-        t.sync_bytes <- t.sync_bytes + reply_bytes r;
-        t.dropped_pdus <- t.dropped_pdus + 1;
-        Error Timeout
-    | Faults.Deliver ->
-        let r = serve () in
-        t.sync_bytes <- t.sync_bytes + reply_bytes r;
-        Ok r
-  end
-
-let rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
+let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
   let module E = Ldap_sim.Engine in
+  let e = t.engine in
   t.sync_rpcs <- t.sync_rpcs + 1;
   let lat = link_latency t ~a:from ~b:host in
   let d_req = E.draw e lat in
@@ -291,10 +266,9 @@ let rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
         E.after e ~delay:(d_req + d_rep) (fun () ->
             k (Error (Refused "transient refusal")))
     | Faults.Drop_reply ->
-        (* The server still processes the request at +d_req; the client
-           times out no earlier than that, so the serve event's side
-           effects are in place when the error is observed (same
-           ordering as the immediate path). *)
+        (* The server still processes the request at +d_req — its side
+           effects stand — and the client times out no earlier than
+           that, so they are in place when the error is observed. *)
         E.after e ~delay:d_req (fun () ->
             let r = serve () in
             t.sync_bytes <- t.sync_bytes + reply_bytes r;
@@ -307,24 +281,7 @@ let rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
             E.after e ~delay:d_rep (fun () -> k (Ok r)))
   end
 
-let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
-  match t.engine with
-  | Some e -> rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k
-  | None -> k (rpc_immediate t ?faults ~from ~host ~request_bytes ~reply_bytes serve)
-
 let rpc t ?faults ~from ~host ~request_bytes ~reply_bytes serve =
-  match t.engine with
-  | Some e when not (Ldap_sim.Engine.running e) ->
-      (* Synchronous wrapper: schedule the exchange, run the engine to
-         quiescence, hand back the delivered result. *)
-      let cell = ref None in
-      rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve
-        (fun r -> cell := Some r);
-      Ldap_sim.Engine.run e;
-      (match !cell with
-      | Some r -> r
-      | None -> Error Timeout)
-  | _ ->
-      (* No engine, or called from inside an event callback: the legacy
-         immediate exchange. *)
-      rpc_immediate t ?faults ~from ~host ~request_bytes ~reply_bytes serve
+  Option.value ~default:(Error Timeout)
+    (Ldap_sim.Engine.await t.engine
+       (rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve))

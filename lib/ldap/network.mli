@@ -9,9 +9,10 @@
     modified bases.  Round trips, PDUs and modelled bytes are counted
     so the referral-cost argument of section 2.3 can be measured.
 
-    Beyond searches, the module provides {!rpc}: a generic synchronous
-    exchange over which higher layers (the ReSync transport) route
-    their traffic.  An optional {!Faults} schedule decides, per
+    Beyond searches, the module provides {!rpc_send}: a generic
+    exchange, timed on the network's discrete-event engine, over which
+    higher layers (the ReSync transport) route their traffic; {!rpc}
+    is its blocking form.  An optional {!Faults} schedule decides, per
     exchange, whether the request is lost before reaching the server,
     the server transiently refuses, or the reply is lost after the
     server processed the request — the three failure shapes the ReSync
@@ -68,7 +69,10 @@ module Faults : sig
   (** Severs the (undirected) link between two hosts until {!heal}. *)
 
   val heal : t -> a:string -> b:string -> unit
+  (** Restores a link severed by {!partition}. *)
+
   val partitioned : t -> a:string -> b:string -> bool
+  (** Whether the link between two hosts is currently severed. *)
 
   val next_outcome : t -> outcome
   (** Consumes the next scripted outcome, or rolls.  Exposed for
@@ -76,16 +80,24 @@ module Faults : sig
 end
 
 val create : unit -> t
+(** An empty topology owning a fresh engine ({!Ldap_sim.Engine.create},
+    seed 0) over zero-latency links: exchanges and pushes are timed
+    events that take no virtual time until latencies are set. *)
 
 val attach_engine : t -> Ldap_sim.Engine.t -> unit
-(** Attaches a discrete-event engine.  From then on {!rpc_send}
-    schedules exchanges as timed events (charging per-link latency) and
-    {!rpc} becomes a thin wrapper that runs the engine to quiescence.
-    Without an engine both behave as immediate calls — the legacy
-    execution model. *)
+(** Replaces the network's engine, e.g. with one shared by a whole
+    simulation or seeded for latency draws.  Raises [Invalid_argument]
+    when the replaced engine still has queued events, which would
+    otherwise never fire. *)
 
-val engine : t -> Ldap_sim.Engine.t option
-(** The attached engine, if any. *)
+val engine : t -> Ldap_sim.Engine.t
+(** The engine every exchange and push of this network runs on. *)
+
+val settle : t -> unit
+(** Runs the network's engine to quiescence: every exchange, push and
+    timer in flight is delivered.  What a caller does before reading
+    content a persist push updates.  Same re-entrancy rule as
+    {!Ldap_sim.Engine.run}. *)
 
 val set_link_latency :
   t -> a:string -> b:string -> Ldap_sim.Latency.t -> unit
@@ -112,8 +124,13 @@ val add_handler : t -> name:string -> (Query.t -> Server.response) -> unit
     endpoints) join the topology alongside full servers. *)
 
 val server : t -> string -> Server.t option
+(** The full server registered under a host name ([None] for handlers). *)
+
 val stats : t -> stats
+(** Traffic accounted since creation or the last {!reset_stats}. *)
+
 val reset_stats : t -> unit
+(** Zeroes every counter of {!stats}. *)
 
 val search :
   t -> from:string -> Query.t -> (Entry.t list, string) result
@@ -136,17 +153,15 @@ val rpc :
   reply_bytes:('r -> int) ->
   (unit -> 'r) ->
   ('r, failure) result
-(** One synchronous request/reply exchange from [from] to [host],
-    serving the request with the given thunk.  The fault schedule is
-    consulted first: a partitioned link or dropped request means the
-    thunk never runs; a dropped {e reply} means the thunk {e did} run —
-    its side effects stand — but the caller only sees [Timeout].  All
-    attempts, bytes and losses are accounted in {!stats}.
-
-    With an engine attached (and not already running), the exchange is
-    scheduled and the engine is run to quiescence before returning, so
-    virtual time advances by the link's round trip.  Called from inside
-    an event callback, it falls back to the immediate exchange. *)
+(** One blocking request/reply exchange from [from] to [host], serving
+    the request with the given thunk: {!rpc_send} awaited on the
+    network's engine ({!Ldap_sim.Engine.await}), so virtual time
+    advances by the link's round trip — also when called from inside
+    an event callback.  The fault schedule is consulted first: a
+    partitioned link or dropped request means the thunk never runs; a
+    dropped {e reply} means the thunk {e did} run — its side effects
+    stand — but the caller only sees [Timeout].  All attempts, bytes
+    and losses are accounted in {!stats}. *)
 
 val rpc_send :
   t ->
@@ -158,12 +173,10 @@ val rpc_send :
   (unit -> 'r) ->
   (('r, failure) result -> unit) ->
   unit
-(** Asynchronous form of {!rpc}: the continuation receives the result
-    when the reply (or failure) is delivered.  With an engine attached
-    the request is served after one link-latency draw and the reply
-    delivered after a second; failures surface after the RPC timeout
-    ({!set_rpc_timeout}).  Without an engine the continuation runs
-    immediately, preserving the legacy execution model. *)
+(** The single exchange path, asynchronous: the request is served
+    after one link-latency draw and the continuation receives the reply
+    after a second; failures surface after the RPC timeout
+    ({!set_rpc_timeout}). *)
 
 val account_push : t -> bytes:int -> unit
 (** Accounts one delivered persistent-search push PDU. *)

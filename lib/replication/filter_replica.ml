@@ -167,7 +167,7 @@ let sync_consumer t consumer ~fetch =
    its filter mentions, so contained queries can be re-evaluated
    locally; answers still project to the caller's selection. *)
 let make_consumer t q =
-  let consumer = Resync.Consumer.create t.schema (Replica.widen_attrs q) in
+  let consumer = Resync.Consumer.create (Replica.widen_attrs q) in
   Resync.Consumer.set_on_change consumer (fun ~before ~after ->
       match t.on_change with
       | Some f -> f ~stored:q ~before ~after
@@ -318,26 +318,13 @@ let answer t q =
 
 let record_miss_result t q entries = Query_cache.add t.cache q entries
 
-let sync_where t pred =
-  C.Containment_index.iter t.index ~f:(fun q consumer ->
-      if pred q then
-        match sync_consumer t consumer ~fetch:false with
-        | Ok () -> ()
-        | Error (Resync.Consumer.Exhausted _) ->
-            (* The consumer keeps its cookie and content; the filter
-               stays stale until a later round reaches the master. *)
-            Stats.record_sync_failure t.stats
-        | Error (Resync.Consumer.Rejected msg) ->
-            invalid_arg ("Filter_replica.sync: " ^ msg))
-
-let sync t = sync_where t (fun _ -> true)
-
-let sync_async t k =
-  (* Sequential CPS walk over the stored filters: one in-flight poll per
-     replica at a time, so a slow upstream never interleaves two
-     exchanges for the same consumer. *)
+(* A CPS walk over the selected stored filters: one in-flight poll
+   per replica at a time, so a slow upstream never interleaves two
+   exchanges for the same consumer. *)
+let sync_where_async t pred k =
   let consumers =
-    C.Containment_index.fold t.index ~init:[] ~f:(fun acc _ c -> c :: acc)
+    C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c ->
+        if pred q then c :: acc else acc)
   in
   let rec go = function
     | [] -> k ()
@@ -349,12 +336,21 @@ let sync_async t k =
                 Stats.add_reply t.stats outcome.Resync.Consumer.reply ~fetch:false;
                 Stats.record_sync_outcome t.stats outcome
             | Error (Resync.Consumer.Exhausted _) ->
+                (* The consumer keeps its cookie and content; the filter
+                   stays stale until a later round reaches the master. *)
                 Stats.record_sync_failure t.stats
             | Error (Resync.Consumer.Rejected msg) ->
-                invalid_arg ("Filter_replica.sync_async: " ^ msg));
+                invalid_arg ("Filter_replica.sync: " ^ msg));
             go rest)
   in
   go (List.rev consumers)
+
+let sync_where t pred =
+  let engine = Network.engine (Resync.Transport.network t.transport) in
+  ignore (Ldap_sim.Engine.await engine (sync_where_async t pred))
+
+let sync t = sync_where t (fun _ -> true)
+let sync_async t k = sync_where_async t (fun _ -> true) k
 
 let comparisons t =
   C.Containment_index.comparisons t.index + Query_cache.comparisons t.cache
@@ -537,7 +533,7 @@ let recover_over ?(cache_capacity = 0) ?(host = "replica") ?(sync = true)
         let* reports = acc in
         let store = consumer_store d slot in
         let* consumer, crec =
-          Resync.Consumer.recover t.schema (Replica.widen_attrs q) store
+          Resync.Consumer.recover (Replica.widen_attrs q) store
         in
         Resync.Consumer.set_on_change consumer (fun ~before ~after ->
             match t.on_change with

@@ -45,7 +45,10 @@ val create :
 
 val schema : t -> Schema.t
 val stats : t -> Stats.t
+(** Query, sync and recovery counters of this replica. *)
+
 val transport : t -> Ldap_resync.Transport.t
+(** The transport every upstream exchange of this replica rides. *)
 
 val master_host : t -> string
 (** The endpoint name this replica currently synchronizes from. *)
@@ -173,12 +176,12 @@ val sync_async : t -> (unit -> unit) -> unit
 (** Asynchronous form of {!sync} for event-driven drivers: stored
     filters are polled sequentially in CPS (one in-flight exchange per
     replica), and the continuation fires when the round completes.
-    Failure handling matches {!sync}.  Without an engine on the
-    transport's network the continuation runs before the call returns. *)
+    Failure handling matches {!sync}. *)
 
 val sync_where : t -> (Query.t -> bool) -> unit
-(** Polls only the stored filters satisfying the predicate.  This is
-    the flexibility section 3.2 attributes to the filter model: each
+(** Polls only the stored filters satisfying the predicate, awaiting
+    the round on the transport's network engine.  This is the
+    flexibility section 3.2 attributes to the filter model: each
     object type (filter) can have its own consistency level, e.g.
     location filters refreshed rarely and person filters often —
     something a subtree replica mixing both cannot express. *)

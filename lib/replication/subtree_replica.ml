@@ -29,7 +29,7 @@ let create master ~subtrees =
   let contexts =
     List.map
       (fun suffix ->
-        let consumer = Resync.Consumer.create schema (subtree_query suffix) in
+        let consumer = Resync.Consumer.create (subtree_query suffix) in
         let ctx = { suffix; referrals = []; consumer } in
         (match Resync.Consumer.sync consumer master with
         | Ok reply -> Stats.add_reply stats reply ~fetch:true

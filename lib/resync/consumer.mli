@@ -36,7 +36,7 @@ type sync_error =
 
 val sync_error_to_string : sync_error -> string
 
-val create : Schema.t -> Query.t -> t
+val create : Query.t -> t
 (** Fresh consumer for one subscription query, with empty content. *)
 
 val query : t -> Query.t
@@ -71,25 +71,6 @@ val apply_reply : t -> Protocol.reply -> unit
 (** Applies all actions.  For a [Degraded] reply, entries that were
     neither retained nor upserted are pruned (eq. (3)). *)
 
-val sync_over :
-  ?max_attempts:int ->
-  ?backoff:int ->
-  ?from:string ->
-  t ->
-  Transport.t ->
-  host:string ->
-  (outcome, sync_error) result
-(** One poll against the master at [host], with up to [max_attempts]
-    (default 4) transport attempts; attempt [i] failing costs
-    [backoff * 2^(i-1)] ticks (default base 1).  A reply lost after
-    the master processed the poll is recovered on the retry: the
-    master sees the stale acknowledged CSN in the cookie and answers
-    with a degraded resynchronization, which the consumer applies.
-
-    With an engine attached to the transport's network, the backoff is
-    charged as a real timer: the outcome's [backoff] stat equals the
-    virtual time spent waiting between attempts. *)
-
 val sync_async :
   ?max_attempts:int ->
   ?backoff:int ->
@@ -99,10 +80,26 @@ val sync_async :
   host:string ->
   ((outcome, sync_error) result -> unit) ->
   unit
-(** Asynchronous form of {!sync_over}, usable from inside engine event
-    callbacks: each attempt is an {!Transport.exchange_async} exchange
-    and each inter-attempt backoff an engine timer.  Without an engine
-    the continuation runs before [sync_async] returns. *)
+(** One poll against the master at [host], with up to [max_attempts]
+    (default 4) {!Transport.exchange_async} attempts; attempt [i]
+    failing waits [backoff * 2^(i-1)] ticks (default base 1) on an
+    engine timer, so the outcome's [backoff] stat equals the virtual
+    time spent waiting between attempts.  A reply lost after the master
+    processed the poll is recovered on the retry: the master sees the
+    stale acknowledged CSN in the cookie and answers with a degraded
+    resynchronization, which the consumer applies before the
+    continuation fires. *)
+
+val sync_over :
+  ?max_attempts:int ->
+  ?backoff:int ->
+  ?from:string ->
+  t ->
+  Transport.t ->
+  host:string ->
+  (outcome, sync_error) result
+(** Blocking form of {!sync_async}, awaited on the transport's network
+    engine ({!Ldap_sim.Engine.await}). *)
 
 val merkle_sync :
   ?config:Ldap_antientropy.Tree.config ->
@@ -225,7 +222,6 @@ val checkpoint : t -> unit
     attached store. *)
 
 val recover :
-  Schema.t ->
   Query.t ->
   Ldap_store.Store.t ->
   (t * Ldap_store.Store.recovery, string) result

@@ -66,36 +66,18 @@ let loopback m =
   add_master t ~name:loopback_host m;
   t
 
-let exchange_with t ~host ~from ~push request query =
-  match Hashtbl.find_opt t.endpoints host with
-  | None -> Error (Net (Network.Unreachable host))
-  | Some ep -> (
-      let result =
-        Network.rpc t.net ?faults:t.faults ~from ~host
-          ~request_bytes:(Protocol.request_bytes request)
-          ~reply_bytes:(function
-            | Ok reply -> Protocol.reply_bytes reply
-            | Error _ -> Ber.message_overhead)
-          (fun () -> ep.ep_handle ~push request query)
-      in
-      match result with
-      | Ok (Ok reply) -> Ok reply
-      | Ok (Error msg) -> Error (Server msg)
-      | Error failure -> Error (Net failure))
-
-let exchange t ~host ?(from = "consumer") request query =
-  exchange_with t ~host ~from ~push:None request query
-
-let exchange_with_async t ~host ~from ~push request query k =
+(* The one exchange path: the endpoint's answer travels over the
+   network's RPC layer, paying its fault schedule, latency and byte
+   accounting. *)
+let call t ~host ~from ~request_bytes ~reply_bytes serve k =
   match Hashtbl.find_opt t.endpoints host with
   | None -> k (Error (Net (Network.Unreachable host)))
   | Some ep ->
-      Network.rpc_send t.net ?faults:t.faults ~from ~host
-        ~request_bytes:(Protocol.request_bytes request)
+      Network.rpc_send t.net ?faults:t.faults ~from ~host ~request_bytes
         ~reply_bytes:(function
-          | Ok reply -> Protocol.reply_bytes reply
+          | Ok reply -> reply_bytes reply
           | Error _ -> Ber.message_overhead)
-        (fun () -> ep.ep_handle ~push request query)
+        (fun () -> serve ep)
         (fun result ->
           k
             (match result with
@@ -103,28 +85,31 @@ let exchange_with_async t ~host ~from ~push request query k =
             | Ok (Error msg) -> Error (Server msg)
             | Error failure -> Error (Net failure)))
 
-let exchange_async t ~host ?(from = "consumer") request query k =
-  exchange_with_async t ~host ~from ~push:None request query k
+let await t start =
+  Option.value ~default:(Error (Net Network.Timeout))
+    (Ldap_sim.Engine.await (Network.engine t.net) start)
 
-(* One Merkle anti-entropy walk step over the same RPC layer as the
-   resync exchanges: hash messages and shipped entries pay the same
-   fault schedule and byte accounting as everything else. *)
-let tree_exchange t ~host ?(from = "consumer") request query =
-  match Hashtbl.find_opt t.endpoints host with
-  | None -> Error (Net (Network.Unreachable host))
-  | Some ep -> (
-      let result =
-        Network.rpc t.net ?faults:t.faults ~from ~host
-          ~request_bytes:(Ldap_antientropy.Exchange.request_bytes request)
-          ~reply_bytes:(function
-            | Ok reply -> Ldap_antientropy.Exchange.reply_bytes reply
-            | Error _ -> Ber.message_overhead)
-          (fun () -> ep.ep_tree request query)
-      in
-      match result with
-      | Ok (Ok reply) -> Ok reply
-      | Ok (Error msg) -> Error (Server msg)
-      | Error failure -> Error (Net failure))
+let exchange_async t ~host ?(from = "consumer") request query k =
+  call t ~host ~from ~request_bytes:(Protocol.request_bytes request)
+    ~reply_bytes:Protocol.reply_bytes
+    (fun ep -> ep.ep_handle ~push:None request query)
+    k
+
+let exchange t ~host ?from request query =
+  await t (exchange_async t ~host ?from request query)
+
+(* Merkle walk steps ride the same RPC layer as the resync exchanges:
+   hash messages and shipped entries pay the same fault schedule and
+   byte accounting as everything else. *)
+let tree_exchange_async t ~host ?(from = "consumer") request query k =
+  call t ~host ~from
+    ~request_bytes:(Ldap_antientropy.Exchange.request_bytes request)
+    ~reply_bytes:Ldap_antientropy.Exchange.reply_bytes
+    (fun ep -> ep.ep_tree request query)
+    k
+
+let tree_exchange t ~host ?from request query =
+  await t (tree_exchange_async t ~host ?from request query)
 
 (* --- Persistent connections ------------------------------------------ *)
 
@@ -139,7 +124,7 @@ let kill c = c.alive <- false
 let pause c = c.paused <- true
 let resume c = c.paused <- false
 
-let connect t ~host ?(from = "consumer") ~push request query =
+let connect_async t ~host ?(from = "consumer") ~push request query k =
   let conn = { alive = true; paused = false; last_delivery = 0 } in
   (* Notifications cross the same lossy link as everything else; the
      first one that does not arrive intact breaks the connection, and
@@ -159,23 +144,19 @@ let connect t ~host ?(from = "consumer") ~push request query =
             && Network.Faults.next_outcome f = Network.Faults.Deliver
       in
       if delivered then begin
-        (match Network.engine t.net with
-        | Some e ->
-            (* Scheduled delivery, one link-latency draw per push; the
-               per-connection clamp keeps pushes FIFO even when a later
-               push draws a smaller latency.  The connection may die in
-               flight, in which case the push is discarded on arrival. *)
-            let d = Ldap_sim.Engine.draw e (Network.link_latency t.net ~a:from ~b:host) in
-            let at = max (Ldap_sim.Engine.now e + d) conn.last_delivery in
-            conn.last_delivery <- at;
-            Ldap_sim.Engine.schedule e ~time:at (fun () ->
-                if conn.alive then begin
-                  Network.account_push t.net ~bytes:(Action.bytes_cost action);
-                  push action
-                end)
-        | None ->
-            Network.account_push t.net ~bytes:(Action.bytes_cost action);
-            push action);
+        (* One link-latency draw per push; the per-connection clamp
+           keeps pushes FIFO even when a later push draws a smaller
+           latency.  The connection may die in flight, in which case
+           the push is discarded on arrival. *)
+        let e = Network.engine t.net in
+        let d = Ldap_sim.Engine.draw e (Network.link_latency t.net ~a:from ~b:host) in
+        let at = max (Ldap_sim.Engine.now e + d) conn.last_delivery in
+        conn.last_delivery <- at;
+        Ldap_sim.Engine.schedule e ~time:at (fun () ->
+            if conn.alive then begin
+              Network.account_push t.net ~bytes:(Action.bytes_cost action);
+              push action
+            end);
         Protocol.Push_ok
       end
       else begin
@@ -191,10 +172,17 @@ let connect t ~host ?(from = "consumer") ~push request query =
       pc_close = (fun () -> conn.alive <- false);
     }
   in
-  match exchange_with t ~host ~from ~push:(Some channel) request query with
-  | Ok reply -> Ok (reply, conn)
-  | Error e ->
-      (* If the reply was lost the server may hold a session pushing
-         into this closure; killing the handle discards those. *)
-      conn.alive <- false;
-      Error e
+  call t ~host ~from ~request_bytes:(Protocol.request_bytes request)
+    ~reply_bytes:Protocol.reply_bytes
+    (fun ep -> ep.ep_handle ~push:(Some channel) request query)
+    (function
+      | Ok reply -> k (Ok (reply, conn))
+      | Error e ->
+          (* If the reply was lost the server may hold a session
+             pushing into this closure; killing the handle discards
+             those. *)
+          conn.alive <- false;
+          k (Error e))
+
+let connect t ~host ?from ~push request query =
+  await t (connect_async t ~host ?from ~push request query)

@@ -56,8 +56,15 @@ type endpoint = {
 }
 
 val create : ?faults:Network.Faults.t -> Network.t -> t
+(** A transport with no endpoints over the network, whose engine times
+    every exchange and push; [faults] (default none) applies to all of
+    them. *)
+
 val network : t -> Network.t
+(** The underlying network: its engine, latencies and accounting. *)
+
 val faults : t -> Network.Faults.t option
+(** The fault schedule every exchange and push consults. *)
 
 val add_endpoint : t -> name:string -> endpoint -> unit
 (** Registers (or replaces) an endpoint under a host name. *)
@@ -83,13 +90,6 @@ val loopback : Master.t -> t
     under {!loopback_host} and no fault schedule: the co-located
     transport used when a caller holds a master directly. *)
 
-val exchange :
-  t -> host:string -> ?from:string -> Protocol.request -> Query.t ->
-  (Protocol.reply, error) result
-(** One poll/sync_end exchange against the endpoint at [host].  [from]
-    (default ["consumer"]) names the client end for partition checks
-    and accounting. *)
-
 val exchange_async :
   t ->
   host:string ->
@@ -98,10 +98,17 @@ val exchange_async :
   Query.t ->
   ((Protocol.reply, error) result -> unit) ->
   unit
-(** Asynchronous form of {!exchange} over {!Ldap.Network.rpc_send}:
-    with an engine attached to the underlying network the exchange is
-    delivered as timed events and the continuation fires when the reply
-    (or failure) arrives; without one it fires immediately. *)
+(** One poll/sync_end exchange against the endpoint at [host], over
+    {!Ldap.Network.rpc_send}: the continuation fires when the reply (or
+    failure) is delivered by the network's engine.  [from] (default
+    ["consumer"]) names the client end for partition checks and
+    accounting. *)
+
+val exchange :
+  t -> host:string -> ?from:string -> Protocol.request -> Query.t ->
+  (Protocol.reply, error) result
+(** Blocking form of {!exchange_async}, awaited on the network's engine
+    ({!Ldap_sim.Engine.await}). *)
 
 val tree_exchange :
   t ->
@@ -110,14 +117,16 @@ val tree_exchange :
   Ldap_antientropy.Exchange.request ->
   Query.t ->
   (Ldap_antientropy.Exchange.reply, error) result
-(** One Merkle anti-entropy walk step against the endpoint at [host],
-    over the same RPC layer (and fault schedule, and byte accounting)
-    as the resync exchanges. *)
+(** One blocking Merkle anti-entropy walk step against the endpoint at
+    [host], over the same RPC layer (and fault schedule, latency and
+    byte accounting) as the resync exchanges. *)
 
 (** A persistent-search connection. *)
 type conn
 
 val conn_alive : conn -> bool
+(** Whether pushes on the connection are still delivered. *)
+
 val kill : conn -> unit
 (** Client-side teardown: subsequent pushes are discarded. *)
 
@@ -132,6 +141,28 @@ val resume : conn -> unit
     next time it touches the session (an update dispatch or an explicit
     flush), not by this call. *)
 
+val connect_async :
+  t ->
+  host:string ->
+  ?from:string ->
+  push:(Action.t -> unit) ->
+  Protocol.request ->
+  Query.t ->
+  ((Protocol.reply * conn, error) result -> unit) ->
+  unit
+(** Establishes a persist-mode session.  Each pushed action traverses
+    the fault layer and, once delivered, is scheduled on the network's
+    engine after one link-latency draw — also at zero latency, so a
+    caller reads pushed content only after the engine has run
+    ({!Ldap.Network.settle}).  Deliveries stay FIFO per connection even
+    when a later push draws a smaller latency.  A partitioned link or a
+    lost push marks the connection dead and discards that and all later
+    notifications — the server keeps pushing into the void until the
+    session expires, exactly like a half-open TCP connection.  If the
+    establishment reply itself is lost, the server-side session exists
+    but the delivered error carries no connection: the consumer must
+    retry. *)
+
 val connect :
   t ->
   host:string ->
@@ -140,14 +171,4 @@ val connect :
   Protocol.request ->
   Query.t ->
   (Protocol.reply * conn, error) result
-(** Establishes a persist-mode session.  Pushed actions traverse the
-    fault layer: a partitioned link or a lost push marks the
-    connection dead and discards that and all later notifications —
-    the server keeps pushing into the void until the session expires,
-    exactly like a half-open TCP connection.  If the establishment
-    reply itself is lost, the server-side session exists but the
-    returned error carries no connection: the consumer must retry.
-
-    With an engine attached to the network, each delivered push is
-    scheduled after one link-latency draw; deliveries stay FIFO per
-    connection even when a later push draws a smaller latency. *)
+(** Blocking form of {!connect_async}. *)

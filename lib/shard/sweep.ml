@@ -167,7 +167,7 @@ let measure_crash config ent router transport prng =
     Shard_master.attach_stores (Router.shard router i) medium
       ~prefix:(Printf.sprintf "shard-%d" i)
   done;
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   let sync c =
     match Consumer.sync_over c transport ~host:(Router.host router) with
     | Ok outcome -> outcome
@@ -201,7 +201,7 @@ let measure_crash config ent router transport prng =
   Network.reset_stats net;
   ignore (sync consumer);
   let warm_bytes = (Network.stats net).Network.sync_bytes in
-  let cold = Consumer.create schema q in
+  let cold = Consumer.create q in
   Network.reset_stats net;
   ignore (sync cold);
   let cold_bytes = (Network.stats net).Network.sync_bytes in

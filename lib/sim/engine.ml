@@ -119,7 +119,20 @@ let run_until t ~time =
         | Some next when next <= time -> ignore (step t)
         | _ -> continue := false
       done;
-      Clock.advance_to t.clock time)
+      (* An event that awaited a reply may have carried the clock past
+         the bound already. *)
+      if time > now t then Clock.advance_to t.clock time)
+
+(* No re-entrancy guard: an await inside a running event steps the
+   same queue in (time, seq) order, so the outer loop resumes at the
+   reply time with every later event still queued. *)
+let await t start =
+  let result = ref None in
+  start (fun v -> if Option.is_none !result then result := Some v);
+  while Option.is_none !result && step t do
+    ()
+  done;
+  !result
 
 let running t = t.running
 let pending t = Event.length t.queue

@@ -75,12 +75,21 @@ val run : t -> unit
 
 val run_until : t -> time:int -> unit
 (** Run all events scheduled at or before [time], then advance the
-    clock to exactly [time].  Same re-entrancy rule as [run]. *)
+    clock to [time] (or leave it where an event that awaited a later
+    reply carried it).  Same re-entrancy rule as [run]. *)
+
+val await : t -> (('a -> unit) -> unit) -> 'a option
+(** [await t start] calls [start k] and then steps events, earliest
+    first, only until [k] has been called: the blocking form of an
+    asynchronous operation.  Events queued after the delivery stay
+    queued.  Returns [None] when the queue empties first.  Unlike
+    [run], it may be called from inside a running event: the caller
+    then blocks in virtual time, as it would on a socket, while the
+    events due before its reply fire. *)
 
 val running : t -> bool
-(** [true] while [run]/[run_until] is executing events — used by
-    synchronous wrappers to fall back to immediate execution instead of
-    re-entering the loop. *)
+(** [true] while [run]/[run_until] is executing events.  {!await}
+    neither sets nor reads it. *)
 
 val pending : t -> int
 (** Number of events currently queued. *)

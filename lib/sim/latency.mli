@@ -6,7 +6,7 @@
     switched between deterministic and random latencies. *)
 
 type t =
-  | Zero  (** Immediate delivery — the pre-engine behaviour. *)
+  | Zero  (** No delay: delivered at the current tick, still as an event. *)
   | Fixed of int  (** Constant delay in ticks. *)
   | Uniform of { lo : int; hi : int }  (** Uniform integer delay in [lo, hi]. *)
   | Exponential of { mean : int }

@@ -36,12 +36,12 @@ val subscribe : ?max_referrals:int -> t -> Query.t -> (unit, string) result
     dance of Figure 2 at subscription time. *)
 
 val sync : t -> unit
-(** One poll round against the parent. *)
+(** One poll round against the parent: {!sync_async} awaited on the
+    network's engine. *)
 
 val sync_async : t -> (unit -> unit) -> unit
 (** Asynchronous poll round for event-driven drivers: the continuation
-    fires when every subscription's exchange has completed (immediately
-    when the transport's network has no engine attached). *)
+    fires when every subscription's exchange has completed. *)
 
 val merkle_sync :
   t ->

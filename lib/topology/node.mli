@@ -73,9 +73,10 @@ val install_cover : t -> Query.t -> (unit, string) result
 val covers : t -> Query.t list
 
 val sync : t -> unit
-(** One poll round against the upstream.  Changes applied here are
-    relayed immediately to persistent downstream sessions; polling
-    downstream sessions pick them up at their next poll. *)
+(** One poll round against the upstream, awaited on the network's
+    engine.  Changes applied here are relayed to persistent downstream
+    sessions as pushes scheduled on that engine; polling downstream
+    sessions pick them up at their next poll. *)
 
 val sync_async : t -> (unit -> unit) -> unit
 (** Asynchronous form of {!sync} for event-driven drivers; the

@@ -234,9 +234,9 @@ let run_lat_point cfg shape ~lossy =
   match Topology.build ?faults ~shape ~covers ~leaf_queries backend with
   | Error e -> failwith ("latency-staleness build: " ^ e)
   | Ok t ->
-      (* The engine attaches only after the build: all fetches above ran
-         immediately at time 0, and from here on every exchange costs
-         per-link latency in virtual time. *)
+      (* The seeded engine replaces the network's own only after the
+         build: all fetches above ran at zero latency, and from here on
+         every exchange costs per-link latency in virtual time. *)
       let engine = Sim.create ~seed:(cfg.lat_seed + 2) () in
       let net = Topology.network t in
       Network.attach_engine net engine;
@@ -666,9 +666,8 @@ let corruption_sweep ?(config = cr_default_config) () =
     Query.make ~base
       (Filter.of_string_exn (Printf.sprintf "(departmentNumber=%s)" all_depts.(0)))
   in
-  let schema = Backend.schema backend in
   let master = Resync.Master.create backend in
-  let consumer = Resync.Consumer.create schema query in
+  let consumer = Resync.Consumer.create query in
   let medium = Ldap_store.Medium.memory () in
   let store = Ldap_store.Store.create medium ~name:"c" in
   Resync.Consumer.attach_store consumer store;
@@ -731,7 +730,7 @@ let corruption_sweep ?(config = cr_default_config) () =
     put "c.wal" (mutate wal);
     put "c.snap" (if D.Prng.int prng 3 = 0 then mutate snap else snap);
     let fresh = Ldap_store.Store.create m ~name:"c" in
-    match Resync.Consumer.recover schema query fresh with
+    match Resync.Consumer.recover query fresh with
     | Ok (c, r) ->
         incr recovered;
         if r.Ldap_store.Store.truncated then incr truncated;

@@ -406,7 +406,7 @@ let persist_fixture ~limit =
   Resync.Master.set_persist_queue_limit master (Some limit);
   let transport = Resync.Transport.create (Network.create ()) in
   Resync.Transport.add_master transport ~name:"m" master;
-  let consumer = Resync.Consumer.create schema (dept_query "71") in
+  let consumer = Resync.Consumer.create (dept_query "71") in
   (match
      Resync.Consumer.connect_persist consumer transport ~host:"m" ~from:"leaf"
    with
@@ -415,7 +415,7 @@ let persist_fixture ~limit =
   (b, master, transport, consumer)
 
 let test_backpressure_parks_and_drains () =
-  let b, master, _transport, consumer = persist_fixture ~limit:8 in
+  let b, master, transport, consumer = persist_fixture ~limit:8 in
   Resync.Consumer.pause_connection consumer;
   for i = 0 to 2 do
     apply b
@@ -429,6 +429,7 @@ let test_backpressure_parks_and_drains () =
   check_int "no overflow within bound" 0 (Resync.Master.push_overflows master);
   Resync.Consumer.resume_connection consumer;
   Resync.Master.flush_pushes master;
+  Network.settle (Resync.Transport.network transport);
   check_int "queue drained" 0 (fst (Resync.Master.push_queue_stats master));
   check_bool "connection survived" true (Resync.Consumer.persist_alive consumer);
   check_bool "content caught up" true (content_equal consumer b (dept_query "71"))

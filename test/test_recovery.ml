@@ -97,7 +97,7 @@ let test_master_recovery_keeps_sessions () =
   let master = Master.create b in
   let m = Store.Medium.memory () in
   Master.attach_store master (Store.Store.create m ~name:"master");
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   ignore (poll consumer master);
   apply b (Update.add (person "dave" ()));
   ignore (poll consumer master);
@@ -119,7 +119,7 @@ let test_master_cold_cookie_degrades () =
   let b = make_backend () in
   apply b (Update.add (person "alice" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   ignore (poll consumer master);
   apply b (Update.add (person "dave" ()));
   let master2 = Master.create b in
@@ -135,7 +135,7 @@ let test_consumer_every_prefix_consistent () =
   apply b (Update.add (person "alice" ()));
   let master = Master.create b in
   let q = dept_query "7" in
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   let m = Store.Medium.memory () in
   Consumer.attach_store consumer (Store.Store.create m ~name:"c");
   ignore (poll consumer master);
@@ -158,7 +158,7 @@ let test_consumer_every_prefix_consistent () =
     Store.Medium.append m2 ~name:"c.wal" (String.sub wal 0 cut);
     Store.Medium.sync m2 ~name:"c.wal";
     let recovered, _ =
-      must (Consumer.recover schema q (Store.Store.create m2 ~name:"c"))
+      must (Consumer.recover q (Store.Store.create m2 ~name:"c"))
     in
     ignore (poll recovered master);
     if not (entry_sets_equal recovered b q) then
@@ -189,7 +189,7 @@ let run_strategy strategy ~interrupt =
   apply b (Update.add (person "alice" ()));
   let master = Master.create ~strategy b in
   let q = dept_query "7" in
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   let m = Store.Medium.memory () in
   Consumer.attach_store consumer (Store.Store.create m ~name:"c");
   ignore (poll consumer master);
@@ -202,7 +202,7 @@ let run_strategy strategy ~interrupt =
       Store.Medium.crash m;
       Consumer.detach_store consumer;
       let recovered, recovery =
-        must (Consumer.recover schema q (Store.Store.create m ~name:"c"))
+        must (Consumer.recover q (Store.Store.create m ~name:"c"))
       in
       check_bool
         (strategy_name strategy ^ ": journal replayed on recovery")
@@ -244,8 +244,8 @@ let prop_recovered_equals_live =
       apply b (Update.add (person "p0" ()));
       let master = Master.create b in
       let q = dept_query "7" in
-      let live = Consumer.create schema q in
-      let journaled = Consumer.create schema q in
+      let live = Consumer.create q in
+      let journaled = Consumer.create q in
       let m = Store.Medium.memory () in
       Consumer.attach_store journaled (Store.Store.create m ~name:"c");
       ignore (poll live master);
@@ -274,7 +274,7 @@ let prop_recovered_equals_live =
       Store.Medium.crash m;
       Consumer.detach_store journaled;
       let recovered, _ =
-        must (Consumer.recover schema q (Store.Store.create m ~name:"c"))
+        must (Consumer.recover q (Store.Store.create m ~name:"c"))
       in
       let csn_of c =
         match c with

@@ -38,7 +38,7 @@ let test_initial_content () =
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.add (person "c" ~dept:"8" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with
   | Ok reply ->
       check_bool "initial kind" true (reply.Protocol.kind = Protocol.Initial_content);
@@ -51,7 +51,7 @@ let test_incremental_minimal () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* Entry enters content, one changes within, one leaves. *)
   apply b (Update.add (person "b" ~dept:"7" ()));
@@ -70,7 +70,7 @@ let test_rename_within_content () =
   let b = make_backend () in
   apply b (Update.add (person "e3" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   let new_rdn = match Dn.rdn_of_string "cn=e5" with Ok r -> r | Error e -> failwith e in
   apply b (Update.modify_dn (dn "cn=e3,o=xyz") new_rdn);
@@ -85,7 +85,7 @@ let test_rename_within_content () =
 let test_add_then_delete_coalesces () =
   let b = make_backend () in
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.add (person "x" ~dept:"7" ()));
   apply b (Update.delete (dn "cn=x,o=xyz"));
@@ -98,7 +98,7 @@ let test_degraded_mode () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "a@x" ] ]);
   (* Kill the session server-side: the cookie becomes unknown. *)
@@ -118,7 +118,7 @@ let test_degraded_prunes_stale () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* b leaves the content while the session is lost. *)
   apply b (Update.modify (dn "cn=b,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
@@ -133,7 +133,7 @@ let test_degraded_prunes_stale () =
 let test_sync_end () =
   let b = make_backend () in
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   check_int "one session" 1 (Master.session_count master);
   let cookie = Option.get (Consumer.cookie consumer) in
@@ -183,7 +183,7 @@ let test_attribute_selection_in_actions () =
   let query =
     Query.make ~attrs:(Query.Select [ "cn" ]) ~base:(dn "o=xyz") (f "(departmentNumber=7)")
   in
-  let consumer = Consumer.create schema query in
+  let consumer = Consumer.create query in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   let e = Option.get (Consumer.find consumer (dn "cn=a,o=xyz")) in
   check_bool "cn present" true (Entry.has_attribute e "cn");
@@ -207,7 +207,7 @@ let run_strategy strategy =
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.add (person "z" ~dept:"9" ()));
   let master = Master.create ~strategy b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* Updates: one out-of-content delete, one in-content delete, one
      out-of-content add, one modify-out-of-content. *)
@@ -246,7 +246,7 @@ let test_history_sizes () =
       (fun strategy ->
         let b = make_backend () in
         let master = Master.create ~strategy b in
-        let consumer = Consumer.create schema (dept_query "7") in
+        let consumer = Consumer.create (dept_query "7") in
         (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
         (* Many out-of-content updates: session history stays empty. *)
         for i = 0 to 19 do
@@ -268,7 +268,7 @@ let test_changelog_trim_degrades () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create ~strategy:Master.Changelog b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
   apply b (Update.delete (dn "cn=b,o=xyz"));
@@ -282,7 +282,7 @@ let test_changelog_trim_degrades () =
   let b2 = make_backend () in
   apply b2 (Update.add (person "a" ~dept:"7" ()));
   let master2 = Master.create b2 in
-  let consumer2 = Consumer.create schema (dept_query "7") in
+  let consumer2 = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer2 master2 with Ok _ -> () | Error e -> failwith e);
   apply b2 (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "m@x" ] ]);
   Backend.trim_log b2 ~before:(Csn.next (Backend.csn b2));
@@ -313,7 +313,7 @@ let converged b consumer =
 
 let test_dropped_reply_recovers () =
   let b, master, _net, faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok o ->
       check_bool "initial" true (o.Consumer.reply.Protocol.kind = Protocol.Initial_content);
@@ -338,7 +338,7 @@ let test_dropped_reply_recovers () =
 
 let test_expired_session_resumes () =
   let b, master, _net, _faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -355,7 +355,7 @@ let test_expired_session_resumes () =
 
 let test_retry_exhaustion () =
   let b, _master, _net, faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -383,18 +383,20 @@ let test_retry_exhaustion () =
   | Error e -> failwith (Consumer.sync_error_to_string e)
 
 let test_persist_reconnect () =
-  let b, master, _net, faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let b, master, net, faults, transport = faulty_setup () in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.connect_persist consumer transport ~host:"m" ~from:"consumer" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
   check_bool "connected" true (Consumer.persist_alive consumer);
   apply b (Update.add (person "p1" ~dept:"7" ()));
+  Network.settle net;
   check_int "push applied" 3 (Consumer.size consumer);
   (* The link drops: the next push dies and takes the connection with
      it — detected lazily, like half-open TCP. *)
   Network.Faults.partition faults ~a:"consumer" ~b:"m";
   apply b (Update.add (person "p2" ~dept:"7" ()));
+  Network.settle net;
   check_bool "connection broken" false (Consumer.persist_alive consumer);
   check_int "push lost" 3 (Consumer.size consumer);
   apply b (Update.add (person "p3" ~dept:"7" ()));
@@ -413,12 +415,13 @@ let test_persist_reconnect () =
   check_bool "converged" true (converged b consumer);
   (* New pushes flow through the fresh connection. *)
   apply b (Update.add (person "p4" ~dept:"7" ()));
+  Network.settle net;
   check_bool "live again" true (converged b consumer);
   check_int "one persistent session" 1 (Master.persistent_count master)
 
 let test_ensure_persist_noop_when_alive () =
   let b, _master, _net, _faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.connect_persist consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -433,7 +436,7 @@ let test_tombstone_gc () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create ~strategy:Master.Tombstone b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.delete (dn "cn=a,o=xyz"));
   apply b (Update.delete (dn "cn=b,o=xyz"));
@@ -456,7 +459,7 @@ let test_persist_advances_synced_csn () =
      acknowledged CSN. *)
   let b = make_backend () in
   let master = Master.create ~strategy:Master.Changelog b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   let transport = Transport.loopback master in
   (match Consumer.connect_persist consumer transport ~host:Transport.loopback_host with
   | Ok _ -> ()
@@ -513,7 +516,7 @@ let run_sim ops =
   let b = make_backend () in
   let master = Master.create b in
   let query = dept_query "7" in
-  let consumer = Consumer.create schema query in
+  let consumer = Consumer.create query in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   let name i = Printf.sprintf "cn=p%d,o=xyz" i in
   List.iter
@@ -556,7 +559,7 @@ let prop_convergence_changelog =
       let b = make_backend () in
       let master = Master.create ~strategy:Master.Changelog b in
       let query = dept_query "7" in
-      let consumer = Consumer.create schema query in
+      let consumer = Consumer.create query in
       (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
       let name i = Printf.sprintf "cn=p%d,o=xyz" i in
       List.iter

@@ -390,7 +390,7 @@ let sessions router i = Master.session_count (Shard_master.master (Router.shard 
 
 let test_resync_single_shard_session () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema (serial_query 1) in
+  let consumer = Consumer.create (serial_query 1) in
   let reply = sync_router consumer transport router in
   check_bool "initial" true (reply.Protocol.kind = Protocol.Initial_content);
   check_bool "content" true (consumer_matches_oracle consumer source);
@@ -412,7 +412,7 @@ let test_resync_single_shard_session () =
 
 let test_resync_broadcast_and_sync_end () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   check_int "sessions everywhere" 2 (sessions router 0 + sessions router 1);
   List.iter
@@ -439,7 +439,7 @@ let test_resync_broadcast_and_sync_end () =
 
 let test_mixed_kind_escalation () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   List.iter
     (fun (c, n) ->
@@ -483,7 +483,7 @@ let test_mixed_kind_escalation () =
 let test_partial_fanout_keeps_old_component () =
   let router, transport, source = make_router ~shards:2 () in
   let faults = Option.get (Transport.faults transport) in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   let before = Option.get (Consumer.cookie consumer) in
   let old_comp = Option.get (Protocol.composite_component before ~shard:1) in
@@ -527,7 +527,7 @@ let test_partial_fanout_keeps_old_component () =
 let test_pruning_reply_with_failed_shard_errors () =
   let router, transport, source = make_router ~shards:2 () in
   let faults = Option.get (Transport.faults transport) in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   (* First contact: both legs would answer Initial_content.  Losing a
      shard here must fail the whole poll — merging an initial reply
      without one shard's entries would present a hole as truth. *)
@@ -544,7 +544,7 @@ let test_pruning_reply_with_failed_shard_errors () =
 let test_consumer_leg_drop_recovers () =
   let router, transport, source = make_router ~shards:2 () in
   let faults = Option.get (Transport.faults transport) in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   ignore
     (must
@@ -562,7 +562,7 @@ let test_consumer_leg_drop_recovers () =
 
 let test_persist_through_router () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   (match Consumer.connect_persist consumer transport ~host:(Router.host router) with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -572,13 +572,14 @@ let test_persist_through_router () =
        (route_apply router source
           (Update.modify (emp_dn 1 1)
              [ Update.replace_values "telephonenumber" [ "555-6000" ] ])));
+  Network.settle (Transport.network transport);
   check_bool "push relayed through router" true
     (consumer_matches_oracle consumer source);
   check_bool "connection alive" true (Consumer.persist_alive consumer)
 
 let test_merkle_through_router () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   (* Drift accumulates while the consumer is offline; it reconciles by
      Merkle walk instead of polling, then resumes incrementally from
@@ -612,7 +613,7 @@ let test_shard_crash_recovery () =
     Shard_master.attach_stores (Router.shard router i) medium
       ~prefix:(Printf.sprintf "shard-%d" i)
   done;
-  let consumer = Consumer.create schema (serial_query 1) in
+  let consumer = Consumer.create (serial_query 1) in
   ignore (sync_router consumer transport router);
   let update n v =
     ignore
@@ -834,8 +835,8 @@ let prop_router_equals_single_master =
       let router, transport, source = make_router ~countries:3 ~strategy ~shards () in
       let oracle_master = Master.create ~strategy source in
       let q = equiv_query qk in
-      let rc = Consumer.create schema q in
-      let oc = Consumer.create schema q in
+      let rc = Consumer.create q in
+      let oc = Consumer.create q in
       let sync_both () =
         (match Consumer.sync_over rc transport ~host:(Router.host router) with
         | Ok _ -> ()

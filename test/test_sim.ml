@@ -1,7 +1,8 @@
 (* Tests for the discrete-event core: deterministic event ordering,
-   latency draws, the engine-backed network and consumer paths, the
-   periodic clock events, and the observational equivalence of the
-   event-driven and legacy synchronous stacks. *)
+   latency draws, awaiting inside and outside running events, the
+   engine-backed network and consumer paths, the periodic clock
+   events, and the observational equivalence of zero and random link
+   latency. *)
 open Ldap
 module Sim = Ldap_sim
 module Resync = Ldap_resync
@@ -111,26 +112,71 @@ let test_latency_draws () =
 (* --- Engine-backed network ------------------------------------------- *)
 
 let test_rpc_charges_round_trip () =
-  (* The same exchange over the engine and over the legacy immediate
-     path: identical result and accounting; only the engine advances
-     virtual time. *)
+  (* The blocking exchange awaits the engine: the reply arrives one
+     round trip later, with request and reply bytes accounted. *)
   let serve () = 41 + 1 in
-  let immediate = Network.create () in
-  let r0 =
-    Network.rpc immediate ~from:"c" ~host:"s" ~request_bytes:10
-      ~reply_bytes:(fun r -> r) serve
-  in
   let net = Network.create () in
   let engine = Sim.Engine.create () in
   Network.attach_engine net engine;
   Network.set_link_latency net ~a:"c" ~b:"s" (Sim.Latency.Fixed 3);
-  let r1 =
+  let r =
     Network.rpc net ~from:"c" ~host:"s" ~request_bytes:10
       ~reply_bytes:(fun r -> r) serve
   in
-  check_bool "same result" true (r0 = Ok 42 && r1 = Ok 42);
-  check_bool "same accounting" true (Network.stats immediate = Network.stats net);
+  check_bool "result delivered" true (r = Ok 42);
+  let stats = Network.stats net in
+  check_int "one exchange accounted" 1 stats.Network.sync_rpcs;
+  check_int "request + reply bytes" 52 stats.Network.sync_bytes;
   check_int "round trip charged" 6 (Sim.Engine.now engine)
+
+(* --- Await ------------------------------------------------------------ *)
+
+let test_nested_await () =
+  (* A blocking exchange made inside a running event blocks in virtual
+     time: the clock moves to the reply, events due before it fire in
+     order, and later events stay queued for the outer loop. *)
+  let net = Network.create () in
+  let engine = Network.engine net in
+  Network.set_default_latency net (Sim.Latency.Fixed 5);
+  let trace = ref [] in
+  let mark label () = trace := (label, Sim.Engine.now engine) :: !trace in
+  Sim.Engine.schedule engine ~time:4 (mark "during");
+  Sim.Engine.schedule engine ~time:30 (mark "later");
+  Sim.Engine.schedule engine ~time:2 (fun () ->
+      let r =
+        Network.rpc net ~from:"c" ~host:"s" ~request_bytes:1
+          ~reply_bytes:(fun _ -> 1) (fun () -> 7)
+      in
+      check_bool "reply delivered inside the callback" true (r = Ok 7);
+      check_int "clock at the reply time" 12 (Sim.Engine.now engine);
+      check_int "later event still queued" 1 (Sim.Engine.pending engine);
+      mark "replied" ());
+  Sim.Engine.run engine;
+  Alcotest.(check (list (pair string int)))
+    "events interleave with the awaited exchange"
+    [ ("during", 4); ("replied", 12); ("later", 30) ]
+    (List.rev !trace)
+
+let test_await_empty_queue () =
+  let e = Sim.Engine.create () in
+  Sim.Engine.schedule e ~time:3 ignore;
+  check_bool "nothing delivered" true (Sim.Engine.await e (fun _ -> ()) = None);
+  check_int "queue drained" 0 (Sim.Engine.pending e);
+  check_int "clock at the last event" 3 (Sim.Engine.now e);
+  check_bool "immediate delivery steps nothing" true
+    (Sim.Engine.await e (fun k -> k 5) = Some 5)
+
+let test_attach_engine_guard () =
+  let net = Network.create () in
+  Sim.Engine.after (Network.engine net) ~delay:1 ignore;
+  check_bool "queued events would be lost" true
+    (match Network.attach_engine net (Sim.Engine.create ()) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Network.settle net;
+  let e = Sim.Engine.create () in
+  Network.attach_engine net e;
+  check_bool "attached once drained" true (Network.engine net == e)
 
 let test_drop_reply_timing () =
   (* A dropped reply still runs the server thunk (its side effects
@@ -163,7 +209,7 @@ let test_backoff_advances_clock () =
   let faults = Network.Faults.create () in
   let transport = Resync.Transport.create ~faults net in
   Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
-  let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let consumer = Resync.Consumer.create (dept_query "7") in
   (match Resync.Consumer.sync_over consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Resync.Consumer.sync_error_to_string e));
@@ -252,9 +298,9 @@ let test_scheduled_revolutions () =
   check_int "three revolutions on the clock" 3
     (Selection.Selector.revolutions selector)
 
-(* --- Engine/legacy equivalence property ------------------------------
-   For the same seed (same update stream, same fault decisions) the
-   event-driven engine and the legacy immediate path must leave the
+(* --- Latency equivalence property ---------------------------------------
+   For the same seed (same update stream, same fault decisions) a
+   zero-latency network and a random-latency one must leave the
    consumer with identical content, cookie and traffic accounting:
    virtual time reorders nothing observable. *)
 
@@ -279,16 +325,13 @@ let apply_scripted_ops b prng =
         ignore (Backend.apply b (Update.delete (dn (Printf.sprintf "cn=%s,o=xyz" name))))
   done
 
-let run_variant ~engine seed =
+let run_variant ~latency seed =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"8" ()));
   let net = Network.create () in
-  if engine then begin
-    let e = Sim.Engine.create ~seed () in
-    Network.attach_engine net e;
-    Network.set_default_latency net (Sim.Latency.Uniform { lo = 1; hi = 6 })
-  end;
+  Network.attach_engine net (Sim.Engine.create ~seed ());
+  Network.set_default_latency net latency;
   (* Fault decisions come from their own stream, independent of the
      engine's latency draws, so both variants see the same outcomes. *)
   let fault_prng = Ldap_dirgen.Prng.create (seed + 1) in
@@ -299,7 +342,7 @@ let run_variant ~engine seed =
   in
   let transport = Resync.Transport.create ~faults net in
   Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
-  let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let consumer = Resync.Consumer.create (dept_query "7") in
   let op_prng = Ldap_dirgen.Prng.create (seed + 2) in
   for _round = 1 to 6 do
     apply_scripted_ops b op_prng;
@@ -312,16 +355,18 @@ let run_variant ~engine seed =
   in
   (entries, Resync.Consumer.cookie consumer, (Network.stats net).Network.sync_bytes)
 
-let prop_engine_matches_legacy =
-  QCheck.Test.make ~name:"sim: engine and legacy paths are observably identical"
+let prop_zero_matches_random_latency =
+  QCheck.Test.make ~name:"sim: zero and random latency agree"
     ~count:40
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let e_entries, e_cookie, e_bytes = run_variant ~engine:true seed in
-      let l_entries, l_cookie, l_bytes = run_variant ~engine:false seed in
-      e_cookie = l_cookie && e_bytes = l_bytes
-      && List.length e_entries = List.length l_entries
-      && List.for_all2 Entry.equal e_entries l_entries)
+      let r_entries, r_cookie, r_bytes =
+        run_variant ~latency:(Sim.Latency.Uniform { lo = 1; hi = 6 }) seed
+      in
+      let z_entries, z_cookie, z_bytes = run_variant ~latency:Sim.Latency.Zero seed in
+      r_cookie = z_cookie && r_bytes = z_bytes
+      && List.length r_entries = List.length z_entries
+      && List.for_all2 Entry.equal r_entries z_entries)
 
 (* --- Latency/staleness sweep shape ----------------------------------- *)
 
@@ -403,11 +448,14 @@ let suite =
     Alcotest.test_case "every + run_until" `Quick test_every_and_run_until;
     Alcotest.test_case "latency draws" `Quick test_latency_draws;
     Alcotest.test_case "rpc charges round trip" `Quick test_rpc_charges_round_trip;
+    Alcotest.test_case "nested await" `Quick test_nested_await;
+    Alcotest.test_case "await on empty queue" `Quick test_await_empty_queue;
+    Alcotest.test_case "attach_engine guard" `Quick test_attach_engine_guard;
     Alcotest.test_case "drop_reply timing" `Quick test_drop_reply_timing;
     Alcotest.test_case "backoff advances clock" `Quick test_backoff_advances_clock;
     Alcotest.test_case "replica backoff stat" `Quick test_replica_backoff_stat;
     Alcotest.test_case "scheduled expiry" `Quick test_scheduled_expiry;
     Alcotest.test_case "scheduled revolutions" `Quick test_scheduled_revolutions;
     Alcotest.test_case "latency/staleness ordering" `Quick test_latency_staleness_ordering;
-    QCheck_alcotest.to_alcotest prop_engine_matches_legacy;
+    QCheck_alcotest.to_alcotest prop_zero_matches_random_latency;
   ]

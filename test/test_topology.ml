@@ -167,7 +167,7 @@ let test_admitted_subscription_served_at_node () =
 
 let test_reparented_cookie_degrades_with_retain () =
   let b, t, _ = node_fixture () in
-  let consumer = Consumer.create schema (dept_query 7) in
+  let consumer = Consumer.create (dept_query 7) in
   let transport = T.Topology.transport t in
   let sync () =
     match Consumer.sync_over consumer transport ~host:"n1" with
@@ -486,7 +486,7 @@ let sm_run_strategy strategy ops =
     List.map
       (fun fs ->
         let q = Query.make ~base:(dn "o=xyz") (f fs) in
-        (q, Consumer.create schema q, Hashtbl.create 32))
+        (q, Consumer.create q, Hashtbl.create 32))
       sm_queries
   in
   let poll () =
@@ -624,8 +624,8 @@ let test_history_hwm_bounds_master () =
   let b = build_directory () in
   let m = Master.create ~history_limit:8 b in
   check_bool "limit recorded" true (Master.history_limit m = Some 8);
-  let fast = Consumer.create schema (dept_query 7) in
-  let slow = Consumer.create schema (dept_query 8) in
+  let fast = Consumer.create (dept_query 7) in
+  let slow = Consumer.create (dept_query 8) in
   let sync c = match Consumer.sync c m with Ok r -> r | Error e -> failwith e in
   ignore (sync fast);
   ignore (sync slow);
